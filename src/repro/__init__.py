@@ -32,7 +32,7 @@ from repro.synth import (
     create_backend,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "DataflowGraph",

@@ -23,7 +23,6 @@ import networkx as nx
 
 from repro.ir.node import Node
 from repro.ir.ops import OpKind, infer_result_width
-from repro.kernel.delta import record_add, record_remove
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,8 @@ class DataflowGraph:
         """Monotonic counter advanced on every structural edit.
 
         The kernel caches its levelized-CSR :class:`~repro.kernel.GraphView`
-        on the graph keyed by this counter; node additions and removals
-        invalidate the cached view (small runs of them are patched into it
-        instead of forcing a rebuild), attribute edits (renames) do not.
+        on the graph keyed by this counter; node additions invalidate the
+        cached view, attribute edits (renames) do not.
         """
         return self._version
 
@@ -115,7 +113,6 @@ class DataflowGraph:
             self._users[operand].append(node.node_id)
         self._next_id += 1
         self._version += 1
-        record_add(self, node.node_id, operand_ids, node.is_source)
         return node
 
     def add_back_edge(self, phi_id: int, src_id: int, distance: int) -> BackEdge:
@@ -165,41 +162,6 @@ class DataflowGraph:
     def has_back_edges(self) -> bool:
         """True when the graph models a pipelined loop."""
         return bool(self._back_edges)
-
-    def remove_node(self, node_id: int) -> None:
-        """Remove a sink node (one with no users) from the graph.
-
-        Restricting removal to user-free nodes keeps every remaining node's
-        operand list valid and is what lets the kernel patch its cached
-        :class:`~repro.kernel.GraphView` instead of rebuilding it; remove
-        consumers first to take out a whole cone.
-
-        Raises:
-            KeyError: if ``node_id`` is not in the graph.
-            ValueError: if the node still has users, or is the source of a
-                loop back-edge.
-        """
-        node = self._nodes.get(node_id)
-        if node is None:
-            raise KeyError(f"node {node_id} not in graph {self.name!r}")
-        if self._users[node_id]:
-            raise ValueError(
-                f"node {node_id} still has users {self._users[node_id]} in "
-                f"graph {self.name!r}; remove them first")
-        loop_users = [e.phi for e in self._back_edges.values()
-                      if e.src == node_id and e.phi != node_id]
-        if loop_users:
-            raise ValueError(
-                f"node {node_id} still feeds loop back-edges into phis "
-                f"{loop_users} in graph {self.name!r}; remove them first")
-        self._back_edges.pop(node_id, None)
-        del self._nodes[node_id]
-        del self._users[node_id]
-        for operand in set(node.operands):
-            self._users[operand] = [u for u in self._users[operand]
-                                    if u != node_id]
-        self._version += 1
-        record_remove(self, node_id)
 
     # ----------------------------------------------------------------- access
 

@@ -16,10 +16,7 @@ depth metric (:mod:`repro.aig`).
   sweep plus :func:`auto_critical_path_matrix`, the density-based
   dense/sparse dispatcher.
 * :mod:`repro.kernel.config` -- the process-wide :class:`KernelConfig`
-  (sparse-vs-dense cutover, view-patch budgets) with ``REPRO_KERNEL_*``
-  environment overrides.
-* :mod:`repro.kernel.patch` -- incremental :class:`GraphView` patching from
-  the containers' recorded structural deltas.
+  (sparse-vs-dense cutover) with ``REPRO_KERNEL_*`` environment overrides.
 * :mod:`repro.kernel.reference` -- the historical pure-Python algorithms,
   kept as the executable specification the parity tests and the
   ``bench-kernel`` CI gate diff against.

@@ -11,11 +11,10 @@ Two benchmark families back ``BENCH_kernel.json``:
   ``bench-kernel`` CI job.
 * The **huge tier** (``--huge`` / ``--nightly``) times the scaling paths on
   the 10k--100k-node shapes of :data:`repro.designs.generator.HUGE_SHAPES`:
-  the sparse all-pairs sweep against the dense kernel, and incremental
-  :class:`GraphView` patching against a from-scratch rebuild after a small
-  structural delta.  Sparse results are verified bit-identical against the
-  dense matrix where one fits in memory, and against sampled
-  single-source ``longest_path_from`` rows on the nightly ~100k shape.
+  the sparse all-pairs sweep against the dense kernel.  Sparse results are
+  verified bit-identical against the dense matrix where one fits in memory,
+  and against sampled single-source ``longest_path_from`` rows on the
+  nightly ~100k shape.
 
 Timings are best-of-``--repeats`` (single-shot once a measurement exceeds
 ``--time-box`` seconds); peak memory is sampled with :mod:`tracemalloc` in a
@@ -46,26 +45,21 @@ from repro.designs.generator import (
     LEAN_OP_MIX,
     build_generated_design,
 )
-from repro.ir.ops import OpKind
 from repro.kernel import (
     GraphView,
     NOT_CONNECTED,
     UNREACHED,
     kernel_config,
     longest_path_from,
-    set_kernel_config,
     sparse_critical_path_matrix,
 )
 from repro.kernel import critical_path_matrix as kernel_matrix
-from repro.kernel.delta import delta_log
-from repro.kernel.patch import patch_view
 from repro.kernel.reference import (
     graph_adjacency,
     reference_critical_path_matrix,
     reference_sta,
     reference_topological_order,
 )
-from repro.kernel.view import _CACHE_ATTR
 from repro.netlist.lowering import lower_graph
 from repro.netlist.sta import StaticTimingAnalysis
 from repro.sdc.delays import node_delays
@@ -88,9 +82,6 @@ _SCALES: dict[str, list[tuple[str, GeneratorParams]]] = {
 #: Above this node count the dense ``n x n`` comparison is skipped (a 30k
 #: matrix alone is ~7 GB); parity then runs against sampled rows.
 _DENSE_NODE_CAP = 20_000
-
-#: Structural edits applied for the patch-vs-rebuild comparison.
-_PATCH_DELTA = 64
 
 #: Sampled sources for the parity check of dense-infeasible shapes.
 _PARITY_SAMPLES = 16
@@ -256,40 +247,11 @@ def bench_huge_design(shape: str, params: GeneratorParams, repeats: int,
     else:
         _sampled_parity(view, delay_vector, sparse, params.name)
 
-    # --- incremental patch vs full rebuild ---------------------------------
-    rng = random.Random(12345)
-    node_ids = graph.node_ids()
-    for _ in range(_PATCH_DELTA):
-        graph.add_node(OpKind.XOR, (rng.choice(node_ids), rng.choice(node_ids)))
-    delta = list(delta_log(graph))
-    patch_s, patched = _best_of(repeats, lambda: patch_view(view, delta))
-
-    saved_config = kernel_config()
-    set_kernel_config(saved_config, patch_mode="never")
-    try:
-        def rebuild():
-            if hasattr(graph, _CACHE_ATTR):
-                delattr(graph, _CACHE_ATTR)
-            return GraphView.from_dataflow(graph)
-
-        rebuild_s, rebuilt = _best_of(repeats, rebuild, time_box)
-    finally:
-        set_kernel_config(saved_config)
-    if (patched.order_ids() != rebuilt.order_ids()
-            or not np.array_equal(patched.levels, rebuilt.levels)
-            or not np.array_equal(patched.pred_indptr, rebuilt.pred_indptr)
-            or not np.array_equal(patched.pred_indices, rebuilt.pred_indices)
-            or not np.array_equal(patched.succ_indptr, rebuilt.succ_indptr)
-            or not np.array_equal(patched.succ_indices, rebuilt.succ_indices)):
-        raise SystemExit(
-            f"patched GraphView diverges from rebuild on {params.name}")
-
     # --- peak memory (untimed pass; the dense peak is ~2 n^2 doubles by
     # construction, so only the scaling paths are worth sampling) -----------
     sparse_peak = _peak_memory(
         lambda: sparse_critical_path_matrix(view, delay_vector,
                                             nnz_budget=None))
-    patch_peak = _peak_memory(lambda: patch_view(view, delta))
 
     return {
         "name": params.name,
@@ -300,15 +262,8 @@ def bench_huge_design(shape: str, params: GeneratorParams, repeats: int,
         "graph_build_s": graph_build_s,
         "view_build_s": view_build_s,
         "matrix": record_matrix,
-        "patch": {
-            "delta": _PATCH_DELTA,
-            "patch_s": patch_s,
-            "rebuild_s": rebuild_s,
-            "speedup": rebuild_s / patch_s,
-        },
         "peak_mem": {
             "sparse_bytes": sparse_peak,
-            "patch_bytes": patch_peak,
         },
     }
 
@@ -323,8 +278,8 @@ def _gate(condition: bool, message: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Kernel micro-benchmark (reference vs vectorized, dense "
-                    "vs sparse, rebuild vs patch), with built-in divergence "
-                    "and regression gates.")
+                    "vs sparse), with built-in divergence and regression "
+                    "gates.")
     parser.add_argument("--scale", choices=sorted(_SCALES), default="quick",
                         help="reference-ladder design sizes (default: quick)")
     parser.add_argument("--repeats", type=int, default=3,
@@ -345,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-sparse-speedup", type=float, default=0.0,
                         help="fail unless every sparse-eligible huge shape "
                              "beats dense by this factor")
-    parser.add_argument("--min-patch-speedup", type=float, default=0.0,
-                        help="fail unless every huge shape's patch beats a "
-                             "rebuild by this factor")
     parser.add_argument("--baseline", default=None,
                         help="committed BENCH_kernel.json to diff against")
     parser.add_argument("--max-regression", type=float, default=0.2,
@@ -379,8 +331,7 @@ def main(argv: list[str] | None = None) -> int:
                            else f"sparse {matrix['sparse_s']:.2f}s "
                                 f"({matrix['parity']} parity)")
             print(f"[huge:{shape:>6}] {record['num_nodes']:6d} nodes | "
-                  f"{sparse_part} | density {matrix['density']:.3f} | "
-                  f"patch {record['patch']['speedup']:5.1f}x vs rebuild")
+                  f"{sparse_part} | density {matrix['density']:.3f}")
 
     largest = designs[-1]
     payload = {
@@ -403,7 +354,6 @@ def main(argv: list[str] | None = None) -> int:
         payload["huge"] = {
             "shapes": huge,
             "min_sparse_speedup": min(sparse_speedups, default=None),
-            "min_patch_speedup": min(r["patch"]["speedup"] for r in huge),
         }
     with open(args.out, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -422,12 +372,6 @@ def main(argv: list[str] | None = None) -> int:
             worst is None or worst < args.min_sparse_speedup,
             f"huge-tier sparse speedup {worst} below required "
             f"{args.min_sparse_speedup:.2f}x")
-    if huge and args.min_patch_speedup:
-        worst = payload["huge"]["min_patch_speedup"]
-        failures += _gate(
-            worst < args.min_patch_speedup,
-            f"huge-tier patch speedup {worst:.2f}x below required "
-            f"{args.min_patch_speedup:.2f}x")
     if args.baseline:
         with open(args.baseline) as handle:
             baseline = json.load(handle)

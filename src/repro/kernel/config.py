@@ -1,14 +1,10 @@
-"""Runtime configuration of the kernel's sparse and incremental paths.
+"""Runtime configuration of the kernel's sparse matrix path.
 
 One process-wide :class:`KernelConfig` decides, for every consumer at once,
-
-* whether the all-pairs delay matrix is built by the dense level-batched
-  sweep or the sparse frontier-compressed one (``matrix_mode``), and where
-  the automatic density cutover sits (``density_threshold``);
-* whether ``GraphView.from_*`` may patch a cached view from the container's
-  recorded structural delta instead of rebuilding (``patch_mode``) and how
-  large a delta still counts as "small" (``patch_max_delta`` /
-  ``patch_max_delta_fraction``).
+whether the all-pairs delay matrix is built by the dense level-batched sweep
+or the sparse frontier-compressed one (``matrix_mode``), and where the
+automatic density cutover sits (``density_threshold`` /
+``min_sparse_nodes``).
 
 Every knob has an environment override so campaigns and CI can flip paths
 without code changes::
@@ -16,8 +12,6 @@ without code changes::
     REPRO_KERNEL_MATRIX=dense|sparse|auto   (default auto)
     REPRO_KERNEL_DENSITY=0.25               (auto cutover, fraction of n^2)
     REPRO_KERNEL_MIN_SPARSE_NODES=512       (below this, dense always wins)
-    REPRO_KERNEL_PATCH=auto|never           (default auto)
-    REPRO_KERNEL_PATCH_MAX_DELTA=256        (absolute small-delta bound)
 
 Both paths are bit-identical by construction (enforced by the
 ``tests/kernel`` parity suites and the bench divergence gate), so flipping
@@ -41,12 +35,11 @@ except ImportError:  # pragma: no cover - scipy is an optional accelerator
     HAVE_SCIPY = False
 
 _MATRIX_MODES = ("auto", "dense", "sparse")
-_PATCH_MODES = ("auto", "never")
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Knobs of the kernel's sparse matrix sweep and view patching.
+    """Knobs of the kernel's sparse matrix sweep.
 
     Attributes:
         matrix_mode: ``"auto"`` picks sparse when the graph is large and the
@@ -57,35 +50,20 @@ class KernelConfig:
             kernel takes over once the budget is exceeded.
         min_sparse_nodes: graphs below this node count always use the dense
             sweep (the sparse bookkeeping only pays off at scale).
-        patch_mode: ``"auto"`` lets ``GraphView.from_*`` patch cached views
-            from small structural deltas; ``"never"`` always rebuilds.
-        patch_max_delta: absolute bound on the recorded delta length that
-            still patches.
-        patch_max_delta_fraction: relative bound -- deltas up to this
-            fraction of the view's node count also patch even past the
-            absolute bound.
     """
 
     matrix_mode: str = "auto"
     density_threshold: float = 0.25
     min_sparse_nodes: int = 512
-    patch_mode: str = "auto"
-    patch_max_delta: int = 256
-    patch_max_delta_fraction: float = 0.05
 
     def __post_init__(self) -> None:
         if self.matrix_mode not in _MATRIX_MODES:
             raise ValueError(f"matrix_mode must be one of {_MATRIX_MODES}, "
                              f"got {self.matrix_mode!r}")
-        if self.patch_mode not in _PATCH_MODES:
-            raise ValueError(f"patch_mode must be one of {_PATCH_MODES}, "
-                             f"got {self.patch_mode!r}")
         if not 0.0 < self.density_threshold <= 1.0:
             raise ValueError("density_threshold must be in (0, 1]")
-        if self.min_sparse_nodes < 0 or self.patch_max_delta < 0:
-            raise ValueError("node/delta bounds must be non-negative")
-        if self.patch_max_delta_fraction < 0:
-            raise ValueError("patch_max_delta_fraction must be non-negative")
+        if self.min_sparse_nodes < 0:
+            raise ValueError("min_sparse_nodes must be non-negative")
 
     # ------------------------------------------------------------- decisions
 
@@ -103,22 +81,12 @@ class KernelConfig:
             return num_nodes * num_nodes  # forced: never abort
         return int(self.density_threshold * num_nodes * num_nodes)
 
-    def patch_budget(self, num_nodes: int) -> int:
-        """Largest recorded delta that still patches instead of rebuilding."""
-        if self.patch_mode == "never":
-            return 0
-        return max(self.patch_max_delta,
-                   int(self.patch_max_delta_fraction * num_nodes))
-
 
 def _config_from_env(env: dict[str, str] | None = None) -> KernelConfig:
     """Build a :class:`KernelConfig` from environment overrides."""
     env = os.environ if env is None else env
     base = KernelConfig()
     matrix_mode = env.get("REPRO_KERNEL_MATRIX", base.matrix_mode).lower()
-    patch_mode = env.get("REPRO_KERNEL_PATCH", base.patch_mode).lower()
-    if patch_mode in ("0", "off", "no"):
-        patch_mode = "never"
     try:
         return KernelConfig(
             matrix_mode=matrix_mode,
@@ -126,10 +94,6 @@ def _config_from_env(env: dict[str, str] | None = None) -> KernelConfig:
                                             base.density_threshold)),
             min_sparse_nodes=int(env.get("REPRO_KERNEL_MIN_SPARSE_NODES",
                                          base.min_sparse_nodes)),
-            patch_mode=patch_mode,
-            patch_max_delta=int(env.get("REPRO_KERNEL_PATCH_MAX_DELTA",
-                                        base.patch_max_delta)),
-            patch_max_delta_fraction=base.patch_max_delta_fraction,
         )
     except ValueError as error:
         raise ValueError(f"invalid REPRO_KERNEL_* environment override: "

@@ -7,7 +7,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.kernel import GraphView
-from repro.kernel.delta import record_add, record_remove
 from repro.netlist.gates import Gate, GateKind, GATE_FUNCTIONS, KIND_CODES
 from repro.tech.library import TechLibrary
 
@@ -36,9 +35,8 @@ class Netlist:
         """Monotonic counter advanced on every structural edit.
 
         Keys the kernel's cached :class:`~repro.kernel.GraphView`: gate
-        additions and removals invalidate the view (small runs of them are
-        patched into it instead of forcing a rebuild), output marking and
-        renames (which do not change connectivity or levels) do not.
+        additions invalidate the view, output marking and renames (which do
+        not change connectivity or levels) do not.
         """
         return self._version
 
@@ -66,37 +64,7 @@ class Netlist:
             self._fanout[input_id].append(gate.gate_id)
         self._next_id += 1
         self._version += 1
-        record_add(self, gate.gate_id, input_ids, kind.is_source)
         return gate.gate_id
-
-    def remove_gate(self, gate_id: int) -> None:
-        """Remove a gate with no fanout that is not a primary output.
-
-        The restriction mirrors :meth:`~repro.ir.graph.DataflowGraph.
-        remove_node`: user-free removals keep every surviving gate's input
-        list valid and let the kernel patch its cached view.
-
-        Raises:
-            KeyError: if ``gate_id`` is not in the netlist.
-            ValueError: if the gate drives other gates or an output port.
-        """
-        gate = self._gates.get(gate_id)
-        if gate is None:
-            raise KeyError(f"gate {gate_id} not in netlist {self.name!r}")
-        if self._fanout[gate_id]:
-            raise ValueError(
-                f"gate {gate_id} still drives {self._fanout[gate_id]} in "
-                f"netlist {self.name!r}; remove the loads first")
-        if gate_id in self._outputs:
-            raise ValueError(f"gate {gate_id} is a primary output of "
-                             f"netlist {self.name!r}")
-        del self._gates[gate_id]
-        del self._fanout[gate_id]
-        for input_id in set(gate.inputs):
-            self._fanout[input_id] = [g for g in self._fanout[input_id]
-                                      if g != gate_id]
-        self._version += 1
-        record_remove(self, gate_id)
 
     def add_input(self, name: str = "") -> int:
         """Add a primary-input gate."""

@@ -66,10 +66,6 @@ def backend_signature(backend) -> str:
     return ",".join(parts)
 
 
-#: Deprecated alias kept for code written against the pre-store cache.
-_backend_signature = backend_signature
-
-
 @dataclass
 class CacheStatistics:
     """Hit/miss counters of an :class:`EvaluationCache`.
@@ -254,11 +250,6 @@ class EvaluationCache:
             t=time.time()))
 
     # -------------------------------------------------------------- plumbing
-
-    @property
-    def flow(self):
-        """Backward-compatible alias for :attr:`backend`."""
-        return self.backend
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -56,11 +56,6 @@ class TestGraphStorage:
         with pytest.raises(KeyError):
             graph.add_back_edge(999, acc.node_id, 1)
 
-    def test_remove_node_guards_back_edge_source(self):
-        graph, _, total = _accumulator()
-        with pytest.raises(ValueError):
-            graph.remove_node(total.node_id)
-
     def test_copy_carries_back_edges(self):
         graph, _, _ = _accumulator()
         clone = graph.copy()

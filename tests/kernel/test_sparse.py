@@ -173,14 +173,10 @@ class TestKernelConfig:
         monkeypatch.setenv("REPRO_KERNEL_MATRIX", "sparse")
         monkeypatch.setenv("REPRO_KERNEL_DENSITY", "0.125")
         monkeypatch.setenv("REPRO_KERNEL_MIN_SPARSE_NODES", "7")
-        monkeypatch.setenv("REPRO_KERNEL_PATCH", "off")
-        monkeypatch.setenv("REPRO_KERNEL_PATCH_MAX_DELTA", "17")
         config = set_kernel_config()  # no args: re-read the environment
         assert config.matrix_mode == "sparse"
         assert config.density_threshold == 0.125
         assert config.min_sparse_nodes == 7
-        assert config.patch_mode == "never"
-        assert config.patch_max_delta == 17
         assert kernel_config() is config
 
     def test_invalid_env_override_raises(self, monkeypatch):
@@ -190,20 +186,18 @@ class TestKernelConfig:
 
     def test_override_kwargs_replace_fields(self):
         config = set_kernel_config(KernelConfig(), matrix_mode="dense",
-                                   patch_max_delta=3)
+                                   min_sparse_nodes=3)
         assert config.matrix_mode == "dense"
-        assert config.patch_max_delta == 3
+        assert config.min_sparse_nodes == 3
         assert config.density_threshold == KernelConfig().density_threshold
 
     def test_validation(self):
         with pytest.raises(ValueError):
             KernelConfig(matrix_mode="fast")
         with pytest.raises(ValueError):
-            KernelConfig(patch_mode="sometimes")
-        with pytest.raises(ValueError):
             KernelConfig(density_threshold=0.0)
         with pytest.raises(ValueError):
-            KernelConfig(patch_max_delta=-1)
+            KernelConfig(min_sparse_nodes=-1)
 
     def test_budget_helpers(self):
         config = KernelConfig(density_threshold=0.5, min_sparse_nodes=100)
@@ -211,10 +205,6 @@ class TestKernelConfig:
         assert config.wants_sparse(100)
         assert config.nnz_budget(10) == 50
         assert KernelConfig(matrix_mode="sparse").nnz_budget(10) == 100
-        assert KernelConfig(patch_mode="never").patch_budget(10**6) == 0
-        assert KernelConfig(patch_max_delta=256,
-                            patch_max_delta_fraction=0.05).patch_budget(10**4) \
-            == 500
 
 
 @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")

@@ -127,6 +127,15 @@ class TestCaching:
         netlist.add_gate(GateKind.INV, (a,))
         assert GraphView.from_netlist(netlist) is not before
 
+    def test_netlist_copies_do_not_share_cache(self):
+        netlist = Netlist("copied")
+        a = netlist.add_input("a")
+        netlist.add_gate(GateKind.INV, (a,))
+        original = GraphView.from_netlist(netlist)
+        clone_view = GraphView.from_netlist(netlist.copy())
+        assert clone_view is not original
+        assert clone_view.order_ids() == original.order_ids()
+
     def test_netlist_output_marking_keeps_view(self):
         netlist = Netlist("marked")
         a = netlist.add_input("a")

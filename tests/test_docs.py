@@ -54,3 +54,13 @@ def test_docs_tree_is_complete():
     names = {path.name for path in DOC_FILES}
     assert {"README.md", "architecture.md", "file-formats.md",
             "cli.md"} <= names
+
+
+def test_package_version_matches_pyproject():
+    import tomllib
+
+    import repro
+
+    with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert repro.__version__ == project["version"]
