@@ -2,7 +2,7 @@
 
 A :class:`CampaignSpec` names the axes of a sweep -- designs (Table-I rows
 or ``gen:`` generated-design specs), clock periods, extraction/expansion
-strategies, solver strategies and per-iteration subgraph budgets -- and
+strategies and per-iteration subgraph budgets -- and
 expands their cross product into an ordered list of :class:`CampaignJob`.
 
 Every job carries a *content-addressed id*: the SHA-256 of its canonical
@@ -49,6 +49,12 @@ def _canonical_digest(payload: Any) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def job_id(design: str, config: dict) -> str:
+    """Content-addressed id of one ``(design, config payload)`` point."""
+    digest = _canonical_digest({"design": design, "config": config})
+    return digest[:JOB_ID_BYTES * 2]
+
+
 @dataclass(frozen=True)
 class CampaignJob:
     """One (design, configuration) point of a campaign.
@@ -88,7 +94,6 @@ class CampaignSpec:
             design default).
         extraction: extraction-strategy axis (``"fanout"``/``"delay"``).
         expansion: expansion-strategy axis (``"path"``/``"cone"``/``"window"``).
-        solvers: solver-strategy axis (``"full"``/``"incremental"``).
         subgraph_counts: per-iteration subgraph budget axis (``m``).
         max_iterations: iteration cap applied to every job.
         patience: early-stop patience applied to every job.
@@ -102,7 +107,6 @@ class CampaignSpec:
     clock_periods_ps: list[float | None] = field(default_factory=lambda: [None])
     extraction: list[str] = field(default_factory=lambda: ["fanout"])
     expansion: list[str] = field(default_factory=lambda: ["window"])
-    solvers: list[str] = field(default_factory=lambda: ["full"])
     subgraph_counts: list[int] = field(default_factory=lambda: [16])
     max_iterations: int = 15
     patience: int = 3
@@ -114,7 +118,7 @@ class CampaignSpec:
         if not self.designs:
             raise ValueError("a campaign needs at least one design")
         for axis_name in ("clock_periods_ps", "extraction", "expansion",
-                          "solvers", "subgraph_counts"):
+                          "subgraph_counts"):
             if not getattr(self, axis_name):
                 raise ValueError(f"axis {axis_name} must not be empty")
 
@@ -144,35 +148,29 @@ class CampaignSpec:
             for clock in self.clock_periods_ps:
                 for extraction in self.extraction:
                     for expansion in self.expansion:
-                        for solver in self.solvers:
-                            for count in self.subgraph_counts:
-                                config = IsdcConfig(
-                                    clock_period_ps=(case.clock_period_ps
-                                                     if clock is None
-                                                     else float(clock)),
-                                    subgraphs_per_iteration=count,
-                                    max_iterations=self.max_iterations,
-                                    patience=self.patience,
-                                    extraction=extraction,
-                                    expansion=expansion,
-                                    solver=solver,
-                                    backend=self.backend,
-                                    use_characterized_delays=(
-                                        self.use_characterized_delays),
-                                    track_estimation_error=(
-                                        self.track_estimation_error),
-                                ).to_payload()
-                                digest = _canonical_digest(
-                                    {"design": design, "config": config})
-                                job_id = digest[:JOB_ID_BYTES * 2]
-                                if job_id in seen:
-                                    continue
-                                seen.add(job_id)
-                                jobs.append(CampaignJob(
-                                    index=len(jobs),
-                                    job_id=job_id,
-                                    design=design,
-                                    config=config))
+                        for count in self.subgraph_counts:
+                            config = IsdcConfig(
+                                clock_period_ps=(case.clock_period_ps
+                                                 if clock is None
+                                                 else float(clock)),
+                                subgraphs_per_iteration=count,
+                                max_iterations=self.max_iterations,
+                                patience=self.patience,
+                                extraction=extraction,
+                                expansion=expansion,
+                                backend=self.backend,
+                                use_characterized_delays=(
+                                    self.use_characterized_delays),
+                                track_estimation_error=(
+                                    self.track_estimation_error),
+                            ).to_payload()
+                            key = job_id(design, config)
+                            if key in seen:
+                                continue
+                            seen.add(key)
+                            jobs.append(CampaignJob(
+                                index=len(jobs), job_id=key,
+                                design=design, config=config))
         return jobs
 
     # ---------------------------------------------------------- serialisation
@@ -232,4 +230,4 @@ def quick_spec(num_designs: int = 3, seed: int = 0,
     )
 
 
-__all__ = ["CampaignJob", "CampaignSpec", "quick_spec"]
+__all__ = ["CampaignJob", "CampaignSpec", "job_id", "quick_spec"]

@@ -48,7 +48,6 @@ class DelayMatrix:
         self.matrix = matrix
         self.index_of = index_of
         self._order: list[int] | None = None  # derived lazily, shared by copies
-        self._dirty: set[tuple[int, int]] = set()
         self._pattern: SparseMatrix | None = None
         self._pattern_t: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._pattern_view: GraphView | None = None
@@ -89,7 +88,6 @@ class DelayMatrix:
         duplicate = DelayMatrix(self.graph, self.matrix.copy(),
                                 dict(self.index_of))
         duplicate._order = self._order
-        duplicate._dirty = set(self._dirty)
         duplicate._pattern = self._pattern
         duplicate._pattern_t = self._pattern_t
         duplicate._pattern_view = self._pattern_view
@@ -134,7 +132,6 @@ class DelayMatrix:
             self._pattern_t = None
             self._pattern_view = None
         self.matrix[row, col] = delay
-        self._dirty.add((u, v))
 
     # -------------------------------------------------- connectivity pattern
 
@@ -167,28 +164,6 @@ class DelayMatrix:
             self._pattern_t = pattern.transpose_arrays()
         return self._pattern_t
 
-    # ------------------------------------------------------------ dirty pairs
-
-    def mark_dirty_indices(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Record changed entries by matrix index (for vectorised writers)."""
-        order = self._node_order()
-        self._dirty.update((order[int(r)], order[int(c)])
-                           for r, c in zip(rows, cols))
-
-    def dirty_pairs(self) -> set[tuple[int, int]]:
-        """Node-id pairs whose entries changed since the last consume."""
-        return set(self._dirty)
-
-    def consume_dirty(self) -> set[tuple[int, int]]:
-        """Return the accumulated dirty pairs and reset the tracker.
-
-        The ISDC loop drains this once per iteration and hands the delta to
-        :meth:`repro.sdc.problem.ScheduleProblem.update_timing`.
-        """
-        dirty = self._dirty
-        self._dirty = set()
-        return dirty
-
     # --------------------------------------------------------------- feedback
 
     def update_with_subgraph(self, node_ids: Iterable[int], delay_ps: float) -> int:
@@ -215,8 +190,6 @@ class DelayMatrix:
         if count:
             block[improvable] = delay_ps
             self.matrix[np.ix_(indices, indices)] = block
-            block_rows, block_cols = np.nonzero(improvable)
-            self.mark_dirty_indices(indices[block_rows], indices[block_cols])
         return count
 
     def update_with_feedback(self, feedback: Iterable[tuple[Iterable[int], float]]

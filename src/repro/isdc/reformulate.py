@@ -28,9 +28,7 @@ from repro.sdc.delays import NOT_CONNECTED
 def propagate_delays(delay_matrix: DelayMatrix) -> int:
     """Re-propagate pairwise delays after feedback updates (Alg. 2 lines 1--16).
 
-    The matrix is modified in place; every lowered entry is also reported to
-    the matrix's dirty-pair tracker so the incremental solver can patch just
-    the affected timing constraints.
+    The matrix is modified in place.
 
     Both sweeps run level-batched over the graph's shared kernel
     :class:`~repro.kernel.GraphView`: since every edge crosses a level
@@ -41,8 +39,8 @@ def propagate_delays(delay_matrix: DelayMatrix) -> int:
     When the matrix carries its (static) connectivity pattern and the active
     :class:`~repro.kernel.KernelConfig` favours sparsity, the sweeps iterate
     over connected pairs only instead of whole ``n``-wide rows -- same
-    entries lowered to the same values, same dirty pairs, a fraction of the
-    work on large sparsely-connected designs.
+    entries lowered to the same values, a fraction of the work on large
+    sparsely-connected designs.
 
     Returns:
         The total number of matrix entries that were lowered.
@@ -96,9 +94,6 @@ def _dense_propagate(delay_matrix: DelayMatrix, view) -> int:
         count = int(improve.sum())
         if count:
             matrix[:, columns] = np.where(improve, best, current)
-            changed_rows, changed_positions = np.nonzero(improve)
-            delay_matrix.mark_dirty_indices(changed_rows,
-                                            columns[changed_positions])
             changed += count
 
     # Reverse sweep: propagate through users to catch the complementary
@@ -131,9 +126,6 @@ def _dense_propagate(delay_matrix: DelayMatrix, view) -> int:
         count = int(improve.sum())
         if count:
             matrix[rows, :] = np.where(improve, best, current)
-            changed_positions, changed_cols = np.nonzero(improve)
-            delay_matrix.mark_dirty_indices(rows[changed_positions],
-                                            changed_cols)
             changed += count
 
     return changed
@@ -166,8 +158,7 @@ def _sparse_forward_sweep(delay_matrix: DelayMatrix, view, pattern) -> int:
     operands ``p`` for *every* row ``u``; but the candidate is real only
     when ``u`` reaches ``p``, i.e. for the ancestors listed in ``p``'s
     pattern row.  Gathering exactly those entries per level reproduces the
-    dense sweep's lowered values bit-for-bit (same additions, same maxima)
-    and its dirty set.
+    dense sweep's lowered values bit-for-bit (same additions, same maxima).
     """
     matrix = delay_matrix.matrix
     index_of = delay_matrix.index_of
@@ -206,7 +197,6 @@ def _sparse_forward_sweep(delay_matrix: DelayMatrix, view, pattern) -> int:
         count = int(improve.sum())
         if count:
             matrix[rows[improve], cols[improve]] = best[improve]
-            delay_matrix.mark_dirty_indices(rows[improve], cols[improve])
             changed += count
     return changed
 
@@ -255,7 +245,6 @@ def _sparse_reverse_sweep(delay_matrix: DelayMatrix, view) -> int:
         count = int(improve.sum())
         if count:
             matrix[rows[improve], cols[improve]] = best[improve]
-            delay_matrix.mark_dirty_indices(rows[improve], cols[improve])
             changed += count
     return changed
 
@@ -288,7 +277,5 @@ def floyd_warshall_refine(delay_matrix: DelayMatrix) -> int:
         count = int(improve.sum())
         if count:
             matrix[improve] = candidates[improve]
-            improved_rows, improved_cols = np.nonzero(improve)
-            delay_matrix.mark_dirty_indices(improved_rows, improved_cols)
             changed += count
     return changed

@@ -1,4 +1,10 @@
-"""The ISDC iterative scheduling loop (paper Section III-A, Fig. 2)."""
+"""The ISDC iterative scheduling loop (paper Section III-A, Fig. 2).
+
+Every iteration feeds the measured subgraph delays into the delay matrix,
+re-propagates it, and re-solves the SDC LP on the updated matrix through
+:func:`repro.sdc.solver.resolve` (rebuild the constraint system, then
+:func:`~repro.sdc.solver.solve_lp`).
+"""
 
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from repro.isdc.reformulate import propagate_delays
 from repro.sdc.pipeline import PipelineAnalyzer, count_pipeline_registers
 from repro.sdc.problem import ScheduleProblem
 from repro.sdc.scheduler import Schedule, SdcScheduler
-from repro.sdc.solver import ScheduleSolver, create_solver
+from repro.sdc.solver import resolve
 from repro.synth.backend import create_backend
 from repro.synth.estimator import CharacterizedOperatorModel
 from repro.tech.delay_model import OperatorModel
@@ -35,13 +41,9 @@ class IsdcScheduler:
 
     One persistent :class:`~repro.sdc.problem.ScheduleProblem` (built by the
     baseline SDC schedule) is held for the whole loop, so the register
-    weights, users map and constraint system are computed once per graph.
-    How the per-iteration re-solve uses it is the config's ``solver`` knob:
-    ``"full"`` rebuilds everything from the delay matrix each iteration,
-    ``"incremental"`` patches only the timing bounds the iteration's dirty
-    delay-matrix entries touched.  Both strategies produce byte-identical
-    schedules and histories; after a run, ``last_problem`` and
-    ``last_solver`` expose the rebuild/patch counters.
+    weights and users map are computed once per graph; each iteration
+    rebuilds its constraint system from the updated delay matrix.  After a
+    run, ``last_problem`` exposes the problem and its rebuild counter.
 
     Args:
         config: loop configuration; a default :class:`IsdcConfig` is used
@@ -81,7 +83,6 @@ class IsdcScheduler:
         self.analyzer = PipelineAnalyzer(flow=self.feedback.backend,
                                          library=self.library)
         self.last_problem: ScheduleProblem | None = None
-        self.last_solver: ScheduleSolver | None = None
 
     # ------------------------------------------------------------------ public
 
@@ -97,9 +98,7 @@ class IsdcScheduler:
         base_result = baseline.schedule(graph)
         baseline_runtime = base_result.runtime_s
         problem = base_result.problem
-        solver = create_solver(config.solver)
         self.last_problem = problem
-        self.last_solver = solver
 
         delay_matrix = DelayMatrix(graph, base_result.delay_matrix.copy(),
                                    dict(base_result.index_of))
@@ -135,7 +134,7 @@ class IsdcScheduler:
             updates += propagate_delays(delay_matrix)
 
             solver_start = time.perf_counter()
-            current = self._reschedule(problem, solver, delay_matrix)
+            current = self._reschedule(problem, delay_matrix)
             solver_runtime = time.perf_counter() - solver_start
             current_registers, _ = count_pipeline_registers(current)
             iterations_run = iteration
@@ -178,19 +177,16 @@ class IsdcScheduler:
             total_runtime_s=total_runtime,
             baseline_runtime_s=baseline_runtime,
             subgraphs_evaluated=self.feedback.evaluations,
-            solver=config.solver,
             solver_runtime_s=sum(r.solver_runtime_s for r in history),
             synthesis_runtime_s=sum(r.synthesis_runtime_s for r in history),
         )
 
     # ----------------------------------------------------------------- helpers
 
-    def _reschedule(self, problem: ScheduleProblem, solver: ScheduleSolver,
+    def _reschedule(self, problem: ScheduleProblem,
                     delay_matrix: DelayMatrix) -> Schedule:
         """Re-solve the persistent problem against the updated delay matrix."""
-        dirty = delay_matrix.consume_dirty()
-        solution = solver.solve(problem, delay_matrix.matrix,
-                                delay_matrix.index_of, dirty)
+        solution = resolve(problem, delay_matrix.matrix, delay_matrix.index_of)
         return Schedule(graph=problem.graph,
                         clock_period_ps=self.config.clock_period_ps,
                         stages=solution, ii=problem.ii)

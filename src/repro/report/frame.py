@@ -5,20 +5,20 @@ Every analysis in :mod:`repro.report` operates on one in-memory shape, the
 configuration) run, regardless of whether the run came from a campaign
 :class:`~repro.campaign.store.RunStore` file (legacy or unified format), a
 unified :class:`~repro.store.ArtifactStore` holding campaign/payload
-records, or an experiment ``--json`` payload (envelope schemas 1-6).  A
+records, or an experiment ``--json`` payload (envelope schemas 1-9).  A
 row carries
 
 * a content-addressed ``job_id`` (the campaign job id, or a synthesised
   digest for table1 rows) that baseline diffs join on,
 * the campaign *axes* (``design``, ``clock_period_ps``, ``extraction``,
-  ``expansion``, ``solver``, ``subgraphs_per_iteration``, ``backend``,
+  ``expansion``, ``subgraphs_per_iteration``, ``backend``,
   plus the ``source`` file it was loaded from), and
 * the numeric *metrics* (register/stage/slack before and after, iteration
   and true-synthesis-evaluation counts, wall-clock runtimes where the
   source records them).
 
 Loading is schema-tolerant: fields newer than the payload simply produce
-rows without those metrics, so schema-1 payloads and schema-7 payloads
+rows without those metrics, so schema-1 payloads and schema-9 payloads
 aggregate side by side.
 
 A tiny in-memory example (runnable)::
@@ -46,7 +46,7 @@ from repro.campaign.store import RunStore
 
 #: Grouping axes a frame row may carry (besides metrics).
 AXES = ("source", "design", "clock_period_ps", "extraction", "expansion",
-        "solver", "subgraphs_per_iteration", "backend")
+        "subgraphs_per_iteration", "backend")
 
 #: Axis aliases accepted by the CLI (`m` is the paper's subgraph budget).
 AXIS_ALIASES = {"m": "subgraphs_per_iteration", "clock": "clock_period_ps"}
@@ -194,7 +194,7 @@ def _campaign_row(source: str, job_id: str, design: str, config: dict,
                   result: dict, runtime_s: float | None) -> ReportRow:
     """Build a frame row from one campaign job's (config, result) payloads."""
     axes = {"design": design}
-    for axis in ("clock_period_ps", "extraction", "expansion", "solver",
+    for axis in ("clock_period_ps", "extraction", "expansion",
                  "subgraphs_per_iteration", "backend"):
         if axis in config:
             axes[axis] = config[axis]
@@ -224,8 +224,9 @@ def _job_configs_from_spec(spec_payload: dict) -> dict[str, dict]:
 
     Store job records carry only ``(job_id, design, result)``; the axes live
     in the header's spec.  Re-expanding the spec recovers them.  An
-    unparseable spec (e.g. from a newer writer) degrades to no axes rather
-    than failing the load.
+    unparseable spec (from a newer writer, or one written before payload
+    schema 9 whose retired re-solve axis no longer parses) degrades to no
+    axes rather than failing the load.
     """
     from repro.campaign.spec import CampaignSpec
 
@@ -267,7 +268,6 @@ def load_run_store(path: str | Path, source: str | None = None) -> ReportFrame:
 
 
 def _table1_rows(source: str, envelope: dict) -> list[ReportRow]:
-    solver = envelope.get("solver")
     rows = []
     for raw in envelope.get("data", {}).get("rows", []):
         design = raw.get("benchmark", "")
@@ -275,8 +275,6 @@ def _table1_rows(source: str, envelope: dict) -> list[ReportRow]:
         axes = {"design": design}
         if clock is not None:
             axes["clock_period_ps"] = clock
-        if solver is not None:
-            axes["solver"] = solver
         metrics: dict = {}
         for key, name in (("sdc_registers", "registers_initial"),
                           ("isdc_registers", "registers_final"),
@@ -392,7 +390,7 @@ def _payload_envelope_rows(label: str, envelope: dict,
 
 def load_experiment_payload(path: str | Path,
                             source: str | None = None) -> ReportFrame:
-    """Load a runner ``--json`` payload (envelope schemas 1-8) into a frame.
+    """Load a runner ``--json`` payload (envelope schemas 1-9) into a frame.
 
     Supported experiments: ``campaign`` (one row per job, axes from each
     job's config), ``table1`` (one row per benchmark, SDC columns as the

@@ -9,11 +9,10 @@ that both XLS and the paper's baseline use:
   (combinational) delay matrix used for timing constraints;
 * :mod:`~repro.sdc.problem` -- the persistent :class:`ScheduleProblem`
   (cached objective data, constraint system with stable row identities,
-  assembled LP structure) and its delta timing updates;
+  assembled LP structure) and its clock-period rebase;
 * :mod:`~repro.sdc.solver` -- LP solution (scipy HiGHS) of the constraint
-  system with a register-lifetime objective, ASAP/ALAP solvers based on
-  longest-path propagation, and the full/incremental re-solve strategies
-  over a persistent problem;
+  system with a register-lifetime objective, ASAP/ALAP schedules from
+  longest-path propagation, and the re-solves of a persistent problem;
 * :mod:`~repro.sdc.scheduler` -- the end-to-end baseline scheduler;
 * :mod:`~repro.sdc.pipeline` -- schedule → pipeline stages, register usage,
   post-synthesis slack.
@@ -23,10 +22,7 @@ from repro.sdc.constraints import DifferenceConstraint, ConstraintSystem
 from repro.sdc.delays import node_delays, critical_path_matrix
 from repro.sdc.problem import ScheduleProblem, assemble_lp
 from repro.sdc.solver import (
-    FullSolver,
-    IncrementalSolver,
     SdcInfeasibleError,
-    create_solver,
     solve_alap,
     solve_asap,
     solve_lp,
@@ -45,9 +41,6 @@ __all__ = [
     "solve_alap",
     "solve_lp",
     "SdcInfeasibleError",
-    "FullSolver",
-    "IncrementalSolver",
-    "create_solver",
     "SdcScheduler",
     "Schedule",
     "PipelineAnalyzer",

@@ -148,23 +148,6 @@ class ConstraintSystem:
         """Number of back-edges currently carrying a loop constraint."""
         return len(self._loop_rows)
 
-    def timing_row(self, u: int, v: int) -> int | None:
-        """Stable row index of the timing constraint on ``(u, v)``, if any.
-
-        Row indices are positions in the constraint list and never move once
-        assigned: :meth:`set_timing_bound` replaces the constraint in place,
-        so cached LP rows and adjacency lists built over row indices stay
-        valid across delta updates.
-        """
-        return self._timing_rows.get((u, v))
-
-    def timing_bound(self, u: int, v: int) -> int | None:
-        """Current bound of the timing constraint on ``(u, v)``, if any."""
-        row = self._timing_rows.get((u, v))
-        if row is None:
-            return None
-        return self._constraints[row].bound
-
     def num_timing_pairs(self) -> int:
         """Number of node pairs currently carrying a timing constraint."""
         return len(self._timing_rows)
@@ -184,7 +167,8 @@ class ConstraintSystem:
         """Replace the bound of the existing timing constraint on ``(u, v)``.
 
         The constraint keeps its row identity (list position); only the bound
-        changes.
+        changes.  Row indices never move once assigned, so cached LP rows and
+        adjacency lists built over row indices stay valid across rebases.
 
         Returns:
             True if the bound actually changed.

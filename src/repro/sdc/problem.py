@@ -1,18 +1,19 @@
-"""Persistent, incrementally-updatable SDC scheduling problems.
+"""Persistent SDC scheduling problems.
 
-A :class:`ScheduleProblem` owns everything the LP re-solve of one graph
+A :class:`ScheduleProblem` owns everything the LP solve of one graph
 needs -- the difference-constraint system, the register weights and users
 map of the objective, and the assembled sparse LP structure -- and keeps it
-alive across ISDC iterations.  Feedback rounds only touch a handful of
-delay-matrix entries, so instead of rebuilding the whole problem each
-iteration the caller reports the dirty ``(u, v)`` pairs and
-:meth:`ScheduleProblem.update_timing` swaps just the affected timing-
+alive across re-solves.  The ISDC loop rebuilds the constraint system from
+the updated delay matrix every iteration (:meth:`ScheduleProblem.rebuild`),
+reusing the per-graph objective data.  The DSE layer probes one problem at
+many clock periods (or IIs) instead, and only the bounds move between
+probes: :meth:`ScheduleProblem.rebase_timing` swaps the affected timing-
 constraint bounds in place.  Constraints keep stable row identities
 (:meth:`~repro.sdc.constraints.ConstraintSystem.set_timing_bound`), so the
 cached LP matrix and repair adjacency stay valid and only the right-hand
 side is patched.
 
-Delta updates preserve byte-level parity with a from-scratch rebuild:
+A rebase preserves byte-level parity with a from-scratch rebuild:
 
 * the set of timing pairs is canonical -- a full rebuild enumerates
   ``np.nonzero(matrix > budget)`` in row-major order, so as long as the
@@ -20,8 +21,9 @@ Delta updates preserve byte-level parity with a from-scratch rebuild:
   the LP row order) is identical;
 * patched bounds are computed with the same formula a rebuild would use;
 * whenever the pair set would change (a constraint appears or vanishes),
-  :meth:`update_timing` refuses and the caller falls back to
-  :meth:`rebuild`, which reproduces the from-scratch construction exactly.
+  :meth:`~ScheduleProblem.rebase_timing` refuses and the caller falls back
+  to :meth:`~ScheduleProblem.rebuild`, which reproduces the from-scratch
+  construction exactly.
 
 The functions :func:`register_weights`, :func:`users_map`,
 :func:`add_dependency_constraints` and :func:`add_timing_constraints` live
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -131,7 +133,7 @@ def build_system(graph: DataflowGraph, matrix: np.ndarray,
 
     The single construction routine shared by the baseline scheduler and
     every :class:`ScheduleProblem` rebuild -- the byte-parity guarantee of
-    the incremental solver relies on there being exactly one way to
+    the clock-period rebase relies on there being exactly one way to
     enumerate the constraints.  Constraint order is canonical:
     dependencies, source pins, timing pairs (row-major), then loop
     back-edges (by phi id).
@@ -184,7 +186,7 @@ class AssembledLp:
         lifetime_index: lifetime variable (node id) -> LP column.
         num_vars: total LP columns.
         a_ub: sparse ``A_ub`` matrix (``None`` when there are no rows).
-        b_ub: dense right-hand side; patched in place by delta updates.
+        b_ub: dense right-hand side; patched in place by rebases.
         objective: dense objective vector.
         bounds: per-column ``(lower, upper)`` bounds.
         num_constraint_rows: rows occupied by difference constraints.
@@ -207,8 +209,8 @@ def assemble_lp(system: ConstraintSystem,
     """Assemble the register-lifetime-minimising LP for a constraint system.
 
     This is the single assembly routine shared by every solve path (one-shot
-    :func:`~repro.sdc.solver.solve_lp`, the full re-solve strategy and the
-    incremental one), which is what makes cached-and-patched structures
+    :func:`~repro.sdc.solver.solve_lp`, the ISDC re-solve and the DSE warm
+    path's cached LP), which is what makes cached-and-patched structures
     byte-identical to rebuilt ones.
     """
     register_weights = register_weights or {}
@@ -278,10 +280,10 @@ class ScheduleProblem:
     """The persistent scheduling problem of one dataflow graph.
 
     Built once per graph (typically by the baseline SDC schedule) and then
-    kept alive for the whole ISDC loop: the register weights and users map
-    are computed exactly once, the constraint system persists with stable
-    row identities, and the assembled LP is cached and patched in place by
-    :meth:`update_timing`.
+    kept alive for the whole ISDC loop or DSE search: the register weights
+    and users map are computed exactly once, the constraint system persists
+    with stable row identities, and the assembled LP is cached and patched
+    in place by :meth:`rebase_timing` and :meth:`rebase_ii`.
 
     Attributes:
         graph: the scheduled dataflow graph.
@@ -330,7 +332,7 @@ class ScheduleProblem:
         self._timing_pack = None
 
     def rebuild(self, matrix: np.ndarray, index_of: Mapping[int, int]) -> None:
-        """Rebuild everything from the current delay matrix (full fallback)."""
+        """Rebuild everything from the current delay matrix."""
         self.rebuilds += 1
         self._build_system(matrix, index_of)
 
@@ -338,7 +340,7 @@ class ScheduleProblem:
         """An independent copy sharing only the immutable per-graph state.
 
         The constraint system and the cached LP are deep-copied (the LP's
-        right-hand side is the one array delta updates patch in place;
+        right-hand side is the one array rebases patch in place;
         everything else in :class:`AssembledLp` is never mutated and is
         shared), so rebasing or patching the clone can never alias state
         back into the donor -- the donor's solved schedule stays
@@ -370,56 +372,7 @@ class ScheduleProblem:
         duplicate._timing_pack = self._timing_pack
         return duplicate
 
-    # ----------------------------------------------------------- delta updates
-
-    def update_timing(self, dirty_pairs: Iterable[tuple[int, int]],
-                      matrix: np.ndarray, index_of: Mapping[int, int]) -> bool:
-        """Swap the timing bounds of the dirty pairs in place.
-
-        Args:
-            dirty_pairs: ``(u, v)`` node-id pairs whose delay-matrix entries
-                changed since the last solve.
-            matrix: the current delay matrix.
-            index_of: node id -> matrix row/column.
-
-        Returns:
-            True when the update was applied incrementally.  False when the
-            structure changed -- a timing constraint would have to appear or
-            vanish, or a dirty node is unknown -- in which case *nothing* is
-            modified and the caller must :meth:`rebuild`.
-        """
-        budget = self.timing_budget_ps
-        patches: list[tuple[int, int, int]] = []
-        for u, v in sorted(set(dirty_pairs)):
-            if u == v:
-                continue  # diagonal entries never carry timing constraints
-            row_u = index_of.get(u)
-            col_v = index_of.get(v)
-            if row_u is None or col_v is None:
-                return False
-            delay = matrix[row_u, col_v]
-            needed = delay != NOT_CONNECTED and delay > budget
-            existing = self.system.timing_bound(u, v)
-            if needed and existing is not None:
-                bound = timing_bound_for(delay, budget)
-                if bound != existing:
-                    patches.append((u, v, bound))
-            elif needed != (existing is not None):
-                return False
-        # Cheap global safety net: the number of constrained pairs a rebuild
-        # would produce must match what we are keeping.  Catches delay-matrix
-        # mutations that bypassed dirty-pair tracking.
-        mask = matrix > budget
-        np.fill_diagonal(mask, False)
-        if int(np.count_nonzero(mask)) != self.system.num_timing_pairs():
-            return False
-        for u, v, bound in patches:
-            self.system.set_timing_bound(u, v, bound)
-            if self._lp is not None:
-                row = self.system.timing_row(u, v)
-                self._lp.b_ub[row] = float(bound)
-            self.bound_patches += 1
-        return True
+    # ---------------------------------------------------------------- rebases
 
     def rebase_timing(self, matrix: np.ndarray, index_of: Mapping[int, int],
                       new_budget_ps: float) -> bool:
@@ -431,9 +384,10 @@ class ScheduleProblem:
         (``matrix > budget``) and each pair's ``ceil(delay / budget) - 1``
         bound.  When the pair set is unchanged the whole re-target is a
         bound patch: only pairs whose ceil bucket actually changed are
-        touched, through the same :meth:`~repro.sdc.constraints.ConstraintSystem.set_timing_bound`
-        row-identity machinery the ISDC delta updates use, so the cached LP
-        survives with its right-hand side patched in place.
+        touched, through the
+        :meth:`~repro.sdc.constraints.ConstraintSystem.set_timing_bound`
+        row-identity machinery, so the cached LP survives with its
+        right-hand side patched in place.
 
         Byte parity with a cold build at ``new_budget_ps`` holds because a
         rebuild enumerates timing pairs as ``np.nonzero(matrix > budget)``
@@ -561,7 +515,7 @@ class ScheduleProblem:
         return self._timing_pack
 
     def lp(self) -> AssembledLp:
-        """The assembled LP (cached; bounds are patched in place by deltas)."""
+        """The assembled LP (cached; bounds are patched in place by rebases)."""
         if self._lp is None:
             self._lp = assemble_lp(self.system, self.register_weights,
                                    self.users_map, self.latency_weight)
@@ -570,7 +524,7 @@ class ScheduleProblem:
     def repair_adjacency(self) -> dict[int, list[int]]:
         """Constraint row indices grouped by source variable (cached).
 
-        Rows are stable across delta updates, so the adjacency survives bound
+        Rows are stable across rebases, so the adjacency survives bound
         patches; it is invalidated only by a rebuild.
         """
         if self._repair_adjacency is None:

@@ -1,6 +1,6 @@
 """Solvers for SDC constraint systems.
 
-Three solution paths are provided:
+Four solution paths are provided:
 
 * :func:`solve_asap` / :func:`solve_alap` -- pure-Python least/greatest
   fixpoint propagation over the difference constraints (Bellman-Ford style).
@@ -10,23 +10,18 @@ Three solution paths are provided:
   objective XLS's SDC scheduler uses), solved with scipy's HiGHS backend.
   The constraint matrix is totally unimodular, so the LP optimum is integral;
   rounding plus a fixpoint repair guards against floating-point noise.
-* the **re-solve strategies** :class:`FullSolver` and
-  :class:`IncrementalSolver` -- one interface
-  (:meth:`ScheduleSolver.solve`) over a persistent
-  :class:`~repro.sdc.problem.ScheduleProblem`, used by the ISDC loop.  The
-  full strategy reproduces the historical behaviour (rebuild the constraint
-  system and LP from the delay matrix on every call); the incremental one
-  patches only the dirty timing bounds of the cached LP, warm-starts the
-  rounding repair, and falls back to a full rebuild when the constraint
-  structure changes.  Both yield byte-identical schedules: the LP input
-  arrays are identical either way (see :mod:`repro.sdc.problem`), and the
-  repair fixpoint is unique regardless of relaxation order.
+* :func:`resolve` -- the ISDC loop's per-iteration re-solve: rebuild the
+  persistent :class:`~repro.sdc.problem.ScheduleProblem` from the updated
+  delay matrix and run :func:`solve_lp` on it.
+* :func:`solve_problem` -- the DSE warm path: solve a problem's cached LP
+  (right-hand side possibly patched by a clock-period rebase) and repair
+  the rounding over the cached row adjacency.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Mapping, Protocol
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linprog
@@ -110,9 +105,8 @@ def _repair_with_adjacency(system: ConstraintSystem, start: dict[int, int],
 
     Instead of seeding the worklist with every variable, one sweep finds the
     constraints the starting values violate and seeds only their sources --
-    when the LP rounding is already feasible (the common case once the ISDC
-    loop converges towards a schedule), the repair is a single O(m) check
-    with zero relaxations.  The fixpoint reached is identical to the cold
+    when the LP rounding is already feasible (the common case), the repair
+    is a single O(m) check with zero relaxations.  The fixpoint reached is identical to the cold
     propagation's (see :func:`_relax_to_fixpoint`).
     """
     violated_sources: list[int] = []
@@ -224,9 +218,8 @@ def solve_lp(system: ConstraintSystem,
 def solve_problem(problem: ScheduleProblem) -> dict[int, int]:
     """Solve a persistent problem on its cached (or freshly assembled) LP.
 
-    This is the one solve path shared by the incremental ISDC strategy and
-    the DSE warm-start engine: the problem's cached LP (bounds possibly
-    patched in place by delta updates or a clock-period rebase) is solved
+    This is the DSE warm-start engine's solve path: the problem's cached LP
+    (bounds possibly patched in place by a clock-period rebase) is solved
     with HiGHS, the integral rounding is repaired over the cached row
     adjacency, and the result is checked feasible.  Because
     :func:`~repro.sdc.problem.assemble_lp` is deterministic in the system,
@@ -245,99 +238,14 @@ def solve_problem(problem: ScheduleProblem) -> dict[int, int]:
     return repaired
 
 
-# --------------------------------------------------------------------------
-# Re-solve strategies over a persistent ScheduleProblem
-# --------------------------------------------------------------------------
+def resolve(problem: ScheduleProblem, matrix: np.ndarray,
+            index_of: Mapping[int, int]) -> dict[int, int]:
+    """The ISDC loop's re-solve: rebuild the problem, then solve its LP.
 
-
-class ScheduleSolver(Protocol):
-    """One re-solve of a persistent scheduling problem.
-
-    ``solve`` receives the problem, the current delay matrix (with its node
-    index) and the set of matrix entries dirtied since the previous solve,
-    and returns the integral schedule.  Implementations are free to ignore
-    the dirty set (the full strategy does).
+    The constraint system is rebuilt from the current delay matrix and the
+    LP is assembled and solved from scratch (:func:`solve_lp`); the cached
+    register weights and users map of the persistent problem are reused.
     """
-
-    name: str
-
-    def solve(self, problem: ScheduleProblem, matrix: np.ndarray,
-              index_of: Mapping[int, int],
-              dirty_pairs: set[tuple[int, int]] | None = None
-              ) -> dict[int, int]:  # pragma: no cover - protocol
-        ...
-
-
-class FullSolver:
-    """Rebuild the constraint system and LP from scratch on every call.
-
-    This is the historical behaviour of the ISDC loop's re-schedule step and
-    the reference the incremental strategy is held byte-identical to.
-    """
-
-    name = "full"
-
-    def solve(self, problem: ScheduleProblem, matrix: np.ndarray,
-              index_of: Mapping[int, int],
-              dirty_pairs: set[tuple[int, int]] | None = None
-              ) -> dict[int, int]:
-        problem.rebuild(matrix, index_of)
-        return solve_lp(problem.system, problem.register_weights,
-                        problem.users_map, problem.latency_weight)
-
-
-class IncrementalSolver:
-    """Patch the cached LP in place and warm-start the rounding repair.
-
-    Per call, the strategy asks the problem to swap the dirty timing bounds
-    into the cached LP's right-hand side
-    (:meth:`~repro.sdc.problem.ScheduleProblem.update_timing`); if the
-    constraint structure changed instead, it falls back to a full rebuild.
-    The LP is then solved on the cached (or freshly rebuilt) arrays, and the
-    integer rounding is repaired with a worklist seeded only from violated
-    constraints over the problem's cached row adjacency
-    (:func:`_repair_with_adjacency`), keeping the previous schedule's
-    fixpoint machinery warm across iterations.
-
-    Attributes:
-        incremental_solves: calls served by in-place bound patching.
-        fallback_solves: calls that required a structural rebuild.
-    """
-
-    name = "incremental"
-
-    def __init__(self) -> None:
-        self.incremental_solves = 0
-        self.fallback_solves = 0
-
-    def solve(self, problem: ScheduleProblem, matrix: np.ndarray,
-              index_of: Mapping[int, int],
-              dirty_pairs: set[tuple[int, int]] | None = None
-              ) -> dict[int, int]:
-        if dirty_pairs is None or not problem.update_timing(dirty_pairs,
-                                                            matrix, index_of):
-            problem.rebuild(matrix, index_of)
-            self.fallback_solves += 1
-        else:
-            self.incremental_solves += 1
-        return solve_problem(problem)
-
-
-SOLVERS = {
-    "full": FullSolver,
-    "incremental": IncrementalSolver,
-}
-
-
-def create_solver(name: str) -> ScheduleSolver:
-    """Construct a re-solve strategy by registry name.
-
-    Raises:
-        ValueError: for an unknown strategy name.
-    """
-    try:
-        factory = SOLVERS[name]
-    except KeyError:
-        known = ", ".join(sorted(SOLVERS))
-        raise ValueError(f"unknown solver {name!r}; expected one of {known}")
-    return factory()
+    problem.rebuild(matrix, index_of)
+    return solve_lp(problem.system, problem.register_weights,
+                    problem.users_map, problem.latency_weight)

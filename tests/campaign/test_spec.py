@@ -59,7 +59,7 @@ def test_jobs_validate_through_isdc_config():
     with pytest.raises(ValueError):
         _small_spec(subgraph_counts=[0]).jobs()
     with pytest.raises(ValueError):
-        _small_spec(solvers=["simulated-annealing"]).jobs()
+        _small_spec(extraction=["simulated-annealing"]).jobs()
 
 
 def test_unknown_design_rejected_at_expansion():
@@ -72,6 +72,13 @@ def test_spec_round_trips_through_dict():
     clone = CampaignSpec.from_dict(spec.to_dict())
     assert clone == spec
     assert clone.fingerprint() == spec.fingerprint()
+
+
+def test_spec_with_the_retired_solvers_axis_is_rejected():
+    """Spec files written before payload schema 9 name a re-solve axis."""
+    stale = {**_small_spec().to_dict(), "solvers": ["full"]}
+    with pytest.raises(TypeError, match="solvers"):
+        CampaignSpec.from_dict(stale)
 
 
 def test_fingerprint_tracks_content():

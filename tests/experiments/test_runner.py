@@ -1,6 +1,10 @@
 """Tests for the experiment CLI runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +147,26 @@ def test_campaign_design_flag_extends_spec(tmp_path, capsys):
 def test_design_flag_rejected_for_other_experiments():
     with pytest.raises(SystemExit):
         main(["fig8", "--quick", "--design", "rrot"])
+
+
+def test_solver_flag_is_gone():
+    with pytest.raises(SystemExit) as error:
+        main(["table1", "--solver", "full"])
+    assert error.value.code == 2  # argparse usage error
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    """``python -m repro.experiments.runner`` must not warn on start-up.
+
+    The package ``__init__`` may not import the runner module, or runpy
+    finds it in ``sys.modules`` before executing it as ``__main__``.
+    """
+    src = Path(__file__).resolve().parents[2] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.experiments.runner", "--help"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert "RuntimeWarning" not in completed.stderr

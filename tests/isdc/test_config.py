@@ -34,3 +34,10 @@ def test_invalid_values_rejected(kwargs):
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         IsdcConfig(extraction="magic")
+
+
+def test_payload_with_the_retired_solver_field_is_rejected():
+    """Payloads written before payload schema 9 carry a ``solver`` field."""
+    stale = {**IsdcConfig().to_payload(), "solver": "full"}
+    with pytest.raises(TypeError, match="solver"):
+        IsdcConfig.from_payload(stale)

@@ -1,9 +1,10 @@
 """Tests for the ISDC delay matrix (Algorithm 1)."""
 
+import numpy as np
 import pytest
 
 from repro.isdc.delay_matrix import DelayMatrix
-from repro.sdc.delays import node_delays
+from repro.sdc.delays import NOT_CONNECTED, node_delays
 from repro.tech.delay_model import OperatorModel
 
 
@@ -87,49 +88,35 @@ class TestQueries:
         assert delay_matrix.connected_pairs_over(1e12) == 0
 
 
-class TestDirtyTracking:
-    def test_fresh_matrix_is_clean(self, matrix):
-        delay_matrix, _ = matrix
-        assert delay_matrix.dirty_pairs() == set()
-
-    def test_subgraph_update_records_lowered_pairs(self, matrix,
-                                                   adder_chain_graph):
+class TestChangeCounts:
+    def test_update_count_is_the_number_of_lowered_entries(
+            self, matrix, adder_chain_graph):
         delay_matrix, _ = matrix
         names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-        delay_matrix.update_with_subgraph([names["s1"], names["s2"]], 100.0)
-        dirty = delay_matrix.dirty_pairs()
-        assert (names["s1"], names["s2"]) in dirty
-        # Only covered, actually-lowered pairs are recorded.
-        assert all(u in names.values() and v in names.values()
-                   for u, v in dirty)
+        before = delay_matrix.matrix.copy()
+        changed = delay_matrix.update_with_subgraph(
+            [names["s1"], names["s2"], names["s3"]], 100.0)
+        assert changed == int(np.count_nonzero(delay_matrix.matrix != before))
 
-    def test_no_op_update_records_nothing(self, matrix, adder_chain_graph):
+    def test_nodes_outside_the_matrix_are_ignored(self, matrix):
         delay_matrix, _ = matrix
-        names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-        delay_matrix.update_with_subgraph([names["s1"], names["s2"]], 100.0)
-        delay_matrix.consume_dirty()
-        delay_matrix.update_with_subgraph([names["s1"], names["s2"]], 500.0)
-        assert delay_matrix.dirty_pairs() == set()
+        before = delay_matrix.matrix.copy()
+        unknown = max(delay_matrix.index_of) + 1
+        assert delay_matrix.update_with_subgraph([unknown], 1.0) == 0
+        assert np.array_equal(delay_matrix.matrix, before)
 
-    def test_consume_drains_the_tracker(self, matrix, adder_chain_graph):
-        delay_matrix, _ = matrix
-        names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-        delay_matrix.set(names["s1"], names["s2"], 42.0)
-        consumed = delay_matrix.consume_dirty()
-        assert (names["s1"], names["s2"]) in consumed
-        assert delay_matrix.dirty_pairs() == set()
-
-    def test_propagation_records_its_changes(self, matrix, adder_chain_graph):
+    def test_propagation_count_covers_its_changes(self, matrix,
+                                                  adder_chain_graph):
         from repro.isdc.reformulate import propagate_delays
 
         delay_matrix, _ = matrix
         names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
         delay_matrix.update_with_subgraph([names["s1"], names["s2"]], 1.0)
-        delay_matrix.consume_dirty()
+        before = delay_matrix.matrix.copy()
         changed = propagate_delays(delay_matrix)
-        assert changed > 0
-        dirty = delay_matrix.dirty_pairs()
-        # Every change is recorded; a pair lowered by both sweeps dedupes.
-        assert 0 < len(dirty) <= changed
-        assert all(u in delay_matrix.index_of and v in delay_matrix.index_of
-                   for u, v in dirty)
+        differs = delay_matrix.matrix != before
+        # Every lowered entry is counted; one lowered by both sweeps counts
+        # twice.
+        assert 0 < int(np.count_nonzero(differs)) <= changed
+        assert np.all(delay_matrix.matrix[differs] < before[differs])
+        assert np.all(before[differs] != NOT_CONNECTED)

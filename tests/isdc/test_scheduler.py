@@ -4,6 +4,7 @@ import pytest
 
 from repro.designs.crypto import build_crc32
 from repro.designs.ml_core import build_ml_core_datapath1
+from repro.designs.suite import table1_suite
 from repro.isdc.config import ExpansionStrategy, ExtractionStrategy, IsdcConfig
 from repro.isdc.scheduler import IsdcScheduler
 
@@ -85,3 +86,38 @@ class TestConfigurationVariants:
         result = IsdcScheduler(config).schedule(build_ml_core_datapath1())
         assert result.iterations <= 2
         assert len(result.history) <= 3
+
+
+def test_weights_and_users_computed_once_per_graph(monkeypatch):
+    """register_weights/users_map run once per run, not once per iteration.
+
+    The persistent ScheduleProblem owns both; neither the baseline schedule
+    nor any re-solve iteration may recompute them.
+    """
+    import repro.sdc.problem as problem_module
+
+    calls = {"register_weights": 0, "users_map": 0}
+    real_weights = problem_module.register_weights
+    real_users = problem_module.users_map
+
+    def counting_weights(graph):
+        calls["register_weights"] += 1
+        return real_weights(graph)
+
+    def counting_users(graph):
+        calls["users_map"] += 1
+        return real_users(graph)
+
+    monkeypatch.setattr(problem_module, "register_weights", counting_weights)
+    monkeypatch.setattr(problem_module, "users_map", counting_users)
+
+    case = next(case for case in table1_suite() if case.name == "rrot")
+    config = IsdcConfig(clock_period_ps=case.clock_period_ps,
+                        subgraphs_per_iteration=4, max_iterations=3,
+                        patience=3, track_estimation_error=False,
+                        use_characterized_delays=False, backend="estimator")
+    scheduler = IsdcScheduler(config)
+    result = scheduler.schedule(case.build())
+    assert result.iterations >= 2
+    assert scheduler.last_problem.rebuilds == result.iterations
+    assert calls == {"register_weights": 1, "users_map": 1}

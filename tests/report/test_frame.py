@@ -95,6 +95,21 @@ class TestPayloadLoading:
         assert "evaluations" not in loaded.metrics
         assert loaded.metrics["register_ratio"] == pytest.approx(0.75)
 
+    def test_retired_solver_envelope_field_is_ignored(self, tmp_path):
+        # Payloads written before schema 9 name the re-solve strategy in the
+        # envelope (the committed BENCH_service.json among them).
+        payload = {"schema": 8, "experiment": "table1", "quick": True,
+                   "jobs": 1, "solver": "incremental", "elapsed_s": 1.0,
+                   "data": {"rows": [{"benchmark": "rrot",
+                                      "clock_period_ps": 2000.0,
+                                      "isdc_registers": 30}]}}
+        path = tmp_path / "table1.json"
+        path.write_text(json.dumps(payload))
+        (loaded,) = load_experiment_payload(path).rows
+        assert loaded.axes == {"design": "rrot", "clock_period_ps": 2000.0}
+        with pytest.raises(ValueError, match="unknown axis"):
+            resolve_axis("solver")
+
     def test_table1_job_ids_stable_across_payloads(self, tmp_path):
         def write(name, registers):
             row = {"benchmark": "crc32", "clock_period_ps": 1500.0,

@@ -1,14 +1,14 @@
-"""Tests for the persistent ScheduleProblem and its delta timing updates."""
+"""Tests for the persistent ScheduleProblem, its rebuilds and the LP assembly."""
 
 import numpy as np
 import pytest
 
 from repro.designs.arith import build_rrot
 from repro.sdc.constraints import ConstraintSystem
-from repro.sdc.delays import NOT_CONNECTED, critical_path_matrix, node_delays
+from repro.sdc.delays import critical_path_matrix, node_delays
 from repro.sdc.problem import ScheduleProblem, assemble_lp
 from repro.sdc.scheduler import SdcScheduler
-from repro.sdc.solver import FullSolver, IncrementalSolver, create_solver, solve_lp
+from repro.sdc.solver import resolve, solve_lp
 from repro.tech.delay_model import OperatorModel
 
 CLOCK_PS = 2500.0
@@ -32,20 +32,21 @@ class TestConstraintRowIdentity:
         system = ConstraintSystem()
         system.add_dependency(0, 1)
         system.add_timing(0, 2, 3)
-        assert system.timing_bound(0, 2) == -3
-        assert system.timing_bound(0, 1) is None
+        assert system.timing_entries() == [(0, 2, 1)]
+        assert system.constraint_at(1).bound == -3
         assert system.num_timing_pairs() == 1
 
     def test_set_timing_bound_keeps_row(self):
         system = ConstraintSystem()
         system.add_timing(0, 1, 3)
         system.add_timing(1, 2, 2)
-        row = system.timing_row(0, 1)
+        entries = system.timing_entries()
+        row = entries[0][2]
         assert system.set_timing_bound(0, 1, -2)
-        assert system.timing_row(0, 1) == row
+        assert system.timing_entries() == entries
         assert system.constraint_at(row).bound == -2
         assert system.constraint_at(row).kind == "timing"
-        assert system.timing_bound(0, 1) == -2
+        assert system.constraint_at(entries[1][2]).bound == -2  # untouched
         # Unchanged bound is a no-op.
         assert not system.set_timing_bound(0, 1, -2)
 
@@ -69,39 +70,48 @@ class TestScheduleProblem:
         assert problem.users_map
         assert problem.register_weights is problem.register_weights
 
-    def test_update_timing_patches_bound_and_lp(self, rrot_setup):
+    def test_rebuild_relaxes_a_lowered_timing_bound(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
         budget = scheduler.timing_budget_ps
-        lp = problem.lp()
-        # Pick a pair that carries a timing constraint spanning >= 2 cycles
-        # and lower its delay so the constraint relaxes but survives.
-        pair = next((u, v) for (u, v), row in
-                    [((c.u, c.v), i) for i, c in enumerate(problem.system)
-                     if c.kind == "timing" and c.bound <= -2][:1])
-        row = problem.system.timing_row(*pair)
-        old_bound = problem.system.timing_bound(*pair)
-        new_delay = budget * 1.5  # one stage boundary needed
-        matrix[index_of[pair[0]], index_of[pair[1]]] = new_delay
-        assert problem.update_timing({pair}, matrix, index_of)
-        assert problem.system.timing_bound(*pair) == -1 != old_bound
-        assert problem.system.timing_row(*pair) == row
-        assert lp.b_ub[row] == -1.0
-        assert problem.bound_patches == 1
+        # Pick a timing constraint spanning >= 2 cycles and lower its delay
+        # so the constraint relaxes to one stage boundary but survives.
+        pair = next((c.u, c.v) for c in problem.system
+                    if c.kind == "timing" and c.bound <= -2)
+        matrix[index_of[pair[0]], index_of[pair[1]]] = budget * 1.5
+        problem.rebuild(matrix, index_of)
+        bounds = {(c.u, c.v): (row, c.bound)
+                  for row, c in enumerate(problem.system)
+                  if c.kind == "timing"}
+        row, bound = bounds[pair]
+        assert bound == -1
+        assert problem.lp().b_ub[row] == -1.0
 
-    def test_update_timing_detects_vanishing_constraint(self, rrot_setup):
+    def test_rebuild_drops_a_vanishing_constraint(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
+        timing_pairs = problem.system.num_timing_pairs()
         pair = next((c.u, c.v) for c in problem.system if c.kind == "timing")
         matrix[index_of[pair[0]], index_of[pair[1]]] = \
             scheduler.timing_budget_ps / 2
-        assert not problem.update_timing({pair}, matrix, index_of)
-        # Nothing was modified: the stale constraint is still there.
-        assert problem.system.timing_bound(*pair) is not None
-        assert problem.bound_patches == 0
+        problem.rebuild(matrix, index_of)
+        assert pair not in {(c.u, c.v) for c in problem.system
+                            if c.kind == "timing"}
+        assert problem.system.num_timing_pairs() == timing_pairs - 1
 
-    def test_update_timing_ignores_diagonal(self, rrot_setup):
-        graph, matrix, index_of, problem, _ = rrot_setup
+    def test_rebuild_ignores_the_diagonal(self, rrot_setup):
+        graph, matrix, index_of, problem, scheduler = rrot_setup
+        before = [(c.u, c.v, c.bound, c.kind) for c in problem.system]
         node = next(iter(index_of))
-        assert problem.update_timing({(node, node)}, matrix, index_of)
+        matrix[index_of[node], index_of[node]] = \
+            scheduler.timing_budget_ps * 10
+        problem.rebuild(matrix, index_of)
+        assert [(c.u, c.v, c.bound, c.kind) for c in problem.system] == before
+
+    def test_rebuild_keeps_the_objective_data(self, rrot_setup):
+        graph, matrix, index_of, problem, _ = rrot_setup
+        weights, users = problem.register_weights, problem.users_map
+        problem.rebuild(matrix, index_of)
+        assert problem.register_weights is weights
+        assert problem.users_map is users
 
     def test_rebuild_counts_and_invalidates(self, rrot_setup):
         graph, matrix, index_of, problem, _ = rrot_setup
@@ -111,57 +121,17 @@ class TestScheduleProblem:
         assert problem.lp() is not lp_before
 
 
-class TestSolverStrategies:
-    def test_create_solver_registry(self):
-        assert create_solver("full").name == "full"
-        assert create_solver("incremental").name == "incremental"
-        with pytest.raises(ValueError):
-            create_solver("magic")
-
-    def test_full_and_incremental_agree_from_scratch(self, rrot_setup):
+class TestResolve:
+    def test_resolve_matches_a_fresh_problem(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
-        reference = solve_lp(problem.system, problem.register_weights,
-                             problem.users_map, problem.latency_weight)
-        full = FullSolver().solve(problem, matrix, index_of)
-        incremental = IncrementalSolver().solve(problem, matrix, index_of,
-                                                dirty_pairs=set())
-        assert full == reference
-        assert incremental == reference
-
-    def test_incremental_agrees_after_delta(self, rrot_setup):
-        graph, matrix, index_of, problem, scheduler = rrot_setup
-        incremental = IncrementalSolver()
-        incremental.solve(problem, matrix, index_of, dirty_pairs=set())
-
-        # Relax every timing constraint's delay by 10% (all survive).
-        dirty = set()
+        lp_before = problem.lp()
+        # Relax every timing constraint's delay by 10%, as feedback would.
         for constraint in problem.system.constraints("timing"):
-            u, v = constraint.u, constraint.v
-            entry = matrix[index_of[u], index_of[v]]
-            matrix[index_of[u], index_of[v]] = entry * 0.9
-            dirty.add((u, v))
-        patched = incremental.solve(problem, matrix, index_of,
-                                    dirty_pairs=dirty)
-        assert incremental.incremental_solves >= 1
-
-        fresh = ScheduleProblem(graph, matrix, index_of,
-                                scheduler.timing_budget_ps)
-        reference = solve_lp(fresh.system, fresh.register_weights,
-                             fresh.users_map, fresh.latency_weight)
-        assert patched == reference
-
-    def test_incremental_falls_back_on_structure_change(self, rrot_setup):
-        graph, matrix, index_of, problem, scheduler = rrot_setup
-        incremental = IncrementalSolver()
-        incremental.solve(problem, matrix, index_of, dirty_pairs=set())
-
-        constraint = problem.system.constraints("timing")[0]
-        matrix[index_of[constraint.u], index_of[constraint.v]] = \
-            scheduler.timing_budget_ps / 2
-        schedule = incremental.solve(problem, matrix, index_of,
-                                     dirty_pairs={(constraint.u, constraint.v)})
-        assert incremental.fallback_solves >= 1
-        assert problem.system.timing_bound(constraint.u, constraint.v) is None
+            row, col = index_of[constraint.u], index_of[constraint.v]
+            matrix[row, col] *= 0.9
+        schedule = resolve(problem, matrix, index_of)
+        assert problem.rebuilds == 1
+        assert problem.lp() is not lp_before
 
         fresh = ScheduleProblem(graph, matrix, index_of,
                                 scheduler.timing_budget_ps)

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.experiments.serialize import SCHEMA_VERSION
 from repro.parallel import close_shared_pool
 from repro.report.frame import load_any
 from repro.service.bench import (CLOCK_LADDER, ServiceBenchResult,
@@ -102,7 +103,7 @@ def test_bench_main_writes_a_loadable_payload(tmp_path):
                        "--out", str(out), "--require-coalescing"])
     assert code == 0
     envelope = json.loads(out.read_text())
-    assert envelope["schema"] == 8
+    assert envelope["schema"] == SCHEMA_VERSION
     assert envelope["experiment"] == "service"
     assert envelope["data"]["served"].get("coalesced", 0) > 0
 

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import RunStore
+from repro.campaign.spec import CampaignJob, CampaignSpec, job_id
+from repro.campaign.store import RunStore, StoreMismatchError
 from repro.report.frame import (load_any, load_artifact_store,
                                 load_experiment_payload, load_run_store)
 from repro.store import ArtifactStore, migrate_file, sniff_format
@@ -25,6 +25,26 @@ PAYLOADS = sorted(FIXTURES.glob("payload_schema*.json"))
 
 def _freeze(path):
     return path.read_bytes()
+
+
+def _fixture_spec_and_jobs(path):
+    """Today's spec of a schema-1 campaign fixture, plus its stored jobs.
+
+    The fixture's spec carries the ``solvers`` axis retired in payload
+    schema 9, and every stored job config -- hence every job id -- a
+    ``solver`` field; the jobs are re-derived the way the old writer did.
+    """
+    payload = dict(RunStore.load(path).header["spec"])
+    solvers = payload.pop("solvers")
+    spec = CampaignSpec.from_dict(payload)
+    jobs = []
+    for job in spec.jobs():
+        for solver in solvers:
+            config = {**job.config, "solver": solver}
+            jobs.append(CampaignJob(index=len(jobs),
+                                    job_id=job_id(job.design, config),
+                                    design=job.design, config=config))
+    return spec, jobs
 
 
 class TestFixtureInventory:
@@ -67,16 +87,34 @@ class TestCampaignFixture:
         legacy = FIXTURES / "campaign_v1.jsonl"
         unified = tmp_path / "unified.jsonl"
         migrate_file(legacy, unified)
-        spec = CampaignSpec.from_dict(RunStore.load(legacy).header["spec"])
-        want = json.dumps(RunStore.load(legacy).final_payload(spec),
+        spec, jobs = _fixture_spec_and_jobs(legacy)
+        want = json.dumps(RunStore.load(legacy).final_payload(spec, jobs),
                           sort_keys=True)
-        got = json.dumps(RunStore.load(unified).final_payload(spec),
+        got = json.dumps(RunStore.load(unified).final_payload(spec, jobs),
                          sort_keys=True)
         assert got == want
         ArtifactStore(unified).open_for_append().compact()
-        compacted = json.dumps(RunStore.load(unified).final_payload(spec),
-                               sort_keys=True)
+        compacted = json.dumps(
+            RunStore.load(unified).final_payload(spec, jobs), sort_keys=True)
         assert compacted == want
+
+    def test_spec_no_longer_parses_and_resume_is_refused(self, tmp_path):
+        # The fixture predates payload schema 9: its spec names the retired
+        # re-solve axis, and today's spec has a different fingerprint, so a
+        # resume is refused instead of mixing job-id schemes in one store.
+        legacy = FIXTURES / "campaign_v1.jsonl"
+        header_spec = RunStore.load(legacy).header["spec"]
+        with pytest.raises(TypeError, match="solvers"):
+            CampaignSpec.from_dict(header_spec)
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(legacy.read_bytes())
+        spec, _ = _fixture_spec_and_jobs(legacy)
+        with pytest.raises(StoreMismatchError):
+            RunStore(copy).open(spec, resume=True)
+        # The frame still loads its rows, without the configuration axes.
+        frame = load_run_store(legacy, source="s")
+        assert len(frame.rows) == 4
+        assert set(frame.rows[0].axes) == {"design"}
 
 
 class TestCacheFixture:
