@@ -20,12 +20,11 @@ record kinds (cache entries, payloads) alongside a campaign; the view only
 reads its own kinds.
 
 A kill can leave a torn final line (no trailing newline, or half-written
-JSON).  Loading tolerates exactly that -- the shared parser lives in
-:mod:`repro.store.jsonl` now -- a corrupt *trailing* line is truncated away
+JSON).  Loading tolerates exactly that (the shared parser in
+:mod:`repro.store.jsonl`): a corrupt *trailing* line is truncated away
 (its job simply re-runs) while corruption anywhere earlier is an error.
-Legacy schema-1 run stores (the pre-unification ``{"kind": "header"}``
-format) still load everywhere, and resuming one migrates it to the unified
-format in place first.
+Schema-1 run stores (the pre-unification ``{"kind": "header"}`` format)
+are rejected with :class:`StoreMismatchError`, never converted.
 
 Everything in the ``result`` payload is deterministic (no wall-clock
 fields); per-job ``runtime_s`` lives beside it and never enters
@@ -53,45 +52,41 @@ machinery without touching disk::
     {'final': {'registers': 9}}
 
 For *analysis* of a finished (or interrupted) store -- where the spec is
-whatever the file says it is -- use :meth:`RunStore.load`, which reads any
-campaign's store (either format) without demanding a matching spec.
+whatever the file says it is -- use :func:`repro.report.frame.load_any`.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.store import (ArtifactStore, campaign_header_record,
-                         campaign_job_record, migrate_records, sniff_format)
-# Re-exported for backward compatibility: the torn-tail parser used to be
-# private here and is now the shared crash-tolerance primitive.
-from repro.store.jsonl import parse_jsonl_tail  # noqa: F401
-from repro.store.migrate import CAMPAIGN_BODY_SCHEMA
+from repro.store import ArtifactStore, StoreRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.campaign.spec import CampaignJob, CampaignSpec
 
-#: Campaign body schema in the unified store (1 was the legacy standalone
-#: JSONL format; 2 is the unified-record form).
+#: Body schema of campaign records in the unified store (1 was the
+#: pre-unification standalone JSONL format, no longer read).
+CAMPAIGN_BODY_SCHEMA = 2
 STORE_SCHEMA_VERSION = CAMPAIGN_BODY_SCHEMA
-LEGACY_STORE_SCHEMA_VERSION = 1
 
 
 class StoreMismatchError(ValueError):
     """The store on disk belongs to a different campaign or schema."""
 
 
-def _legacy_records_to_store(records) -> tuple[dict | None, dict[str, dict]]:
-    """Split migrated records into ``(header body, job_id -> job body)``."""
-    header = None
-    results: dict[str, dict] = {}
-    for record in records:
-        if record.kind == "campaign-header" and header is None:
-            header = record.body
-        elif record.kind == "campaign-job":
-            results[record.key] = record.body
-    return header, results
+def campaign_header_record(header_body: dict) -> StoreRecord:
+    """Store record for a campaign header body (name/fingerprint/spec)."""
+    return StoreRecord(kind="campaign-header",
+                       key=header_body["fingerprint"],
+                       schema=CAMPAIGN_BODY_SCHEMA, body=header_body)
+
+
+def campaign_job_record(job_id: str, body: dict) -> StoreRecord:
+    """Store record for one completed campaign job."""
+    return StoreRecord(kind="campaign-job", key=job_id,
+                       schema=CAMPAIGN_BODY_SCHEMA, body=body)
 
 
 class RunStore:
@@ -143,36 +138,24 @@ class RunStore:
                 raise FileExistsError(
                     f"run store {self.path} already exists; pass resume=True "
                     "(--resume) to continue it or choose another path")
-            self._migrate_legacy_in_place()
             self._load()
         else:
             self._store.open_for_append()
             self._store.put(campaign_header_record(self._header))
 
-    def _migrate_legacy_in_place(self) -> None:
-        """Rewrite a legacy schema-1 file as unified records before resuming."""
-        if sniff_format(self.path) != "run-store-v1":
-            return
-        self._check_legacy_schema()
-        _, records = migrate_records(self.path)
-        ArtifactStore(self.path).replace_with(records)
-        self._store = ArtifactStore(self.path)
-
-    def _check_legacy_schema(self) -> None:
-        records, _, _, _ = parse_jsonl_tail(self.path, tolerant=False)
-        header = records[0] if records else {}
-        if header.get("kind") != "header":
-            raise StoreMismatchError(
-                f"run store {self.path} has no campaign header")
-        if header.get("schema") != LEGACY_STORE_SCHEMA_VERSION:
-            raise StoreMismatchError(
-                f"run store {self.path} has schema {header.get('schema')}, "
-                f"expected {LEGACY_STORE_SCHEMA_VERSION} or "
-                f"{STORE_SCHEMA_VERSION}")
-
     def _load(self) -> None:
+        with self.path.open("rb") as handle:
+            try:
+                first = json.loads(handle.readline())
+            except ValueError:
+                first = None
+        if isinstance(first, dict) and first.get("kind") == "header":
+            raise StoreMismatchError(
+                f"run store {self.path} is a schema-{first.get('schema')} "
+                f"campaign store; only schema {STORE_SCHEMA_VERSION} "
+                "(unified store records) can be resumed")
         store = self._store.open_for_append()
-        header = self._find_header(store, self.path)
+        header = self._find_header(store)
         if header.get("fingerprint") != self._header["fingerprint"]:
             raise StoreMismatchError(
                 f"run store {self.path} belongs to campaign "
@@ -181,79 +164,31 @@ class RunStore:
         for record in store.kind("campaign-job"):
             self.results[record.key] = record.body
 
-    def _find_header(self, store: ArtifactStore, path: Path) -> dict:
+    def _find_header(self, store: ArtifactStore) -> dict:
         """Pick this campaign's header record, validating its schema.
 
         The header under the requested spec's fingerprint wins (a shared
-        store may hold several campaigns); with no bound spec -- or no
-        exact match -- the first header in the file is returned so the
-        mismatch error can name the foreign campaign.
+        store may hold several campaigns); with no exact match the first
+        header in the file is returned so the mismatch error can name the
+        foreign campaign.
 
         Raises:
             StoreMismatchError: no header record, or a foreign schema.
         """
-        wanted = (self._header or {}).get("fingerprint")
-        if wanted is not None:
-            exact = store.get("campaign-header", wanted)
-            if exact is not None:
-                return self._validated_header(exact, path)
+        exact = store.get("campaign-header", self._header["fingerprint"])
+        if exact is not None:
+            return self._validated_header(exact)
         for record in store.kind("campaign-header"):
-            return self._validated_header(record, path)
-        raise StoreMismatchError(f"run store {path} has no campaign header")
+            return self._validated_header(record)
+        raise StoreMismatchError(
+            f"run store {self.path} has no campaign header")
 
-    @staticmethod
-    def _validated_header(record, path: Path) -> dict:
+    def _validated_header(self, record: StoreRecord) -> dict:
         if record.schema != STORE_SCHEMA_VERSION:
             raise StoreMismatchError(
-                f"run store {path} has campaign schema {record.schema}, "
+                f"run store {self.path} has campaign schema {record.schema}, "
                 f"expected {STORE_SCHEMA_VERSION}")
         return record.body
-
-    # ------------------------------------------------------------- analysis
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunStore":
-        """Open an existing store read-only, for analysis.
-
-        Unlike :meth:`open`, no spec is required: the header on disk *is*
-        the campaign identity, so any store -- finished, interrupted, even
-        one with a torn trailing line -- loads as-is (the file is never
-        modified; a torn tail is simply ignored).  Legacy schema-1 files
-        load equally.  This is the entry point the report engine
-        (:mod:`repro.report`) uses.
-
-        Raises:
-            FileNotFoundError: no file at ``path``.
-            StoreMismatchError: the file has no campaign header or a
-                foreign store schema.
-            ValueError: the file is corrupt before its final line.
-        """
-        store = cls(path)
-        detected = sniff_format(store.path)
-        if detected not in ("store", "run-store-v1"):
-            # Headerless or foreign files are a mismatch, not corruption.
-            raise StoreMismatchError(
-                f"run store {path} has no campaign header")
-        if detected == "run-store-v1":
-            store._check_legacy_schema()
-            _, records = migrate_records(store.path)
-            header, results = _legacy_records_to_store(records)
-            if header is None:
-                raise StoreMismatchError(
-                    f"run store {path} has no campaign header")
-            store._header = header
-            store.results = results
-            return store
-        artifacts = ArtifactStore.load(store.path)
-        store._header = store._find_header(artifacts, store.path)
-        for record in artifacts.kind("campaign-job"):
-            store.results[record.key] = record.body
-        return store
-
-    @property
-    def header(self) -> dict | None:
-        """The campaign header (name, fingerprint, job count, full spec)."""
-        return self._header
 
     # --------------------------------------------------------------- records
 
@@ -312,5 +247,6 @@ class RunStore:
         }
 
 
-__all__ = ["LEGACY_STORE_SCHEMA_VERSION", "RunStore", "StoreMismatchError",
-           "STORE_SCHEMA_VERSION", "parse_jsonl_tail"]
+__all__ = ["CAMPAIGN_BODY_SCHEMA", "RunStore", "StoreMismatchError",
+           "STORE_SCHEMA_VERSION", "campaign_header_record",
+           "campaign_job_record"]

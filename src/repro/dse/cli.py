@@ -15,8 +15,9 @@ initiation interval at its registry clock (meaningful for ``loop:`` /
 worker processes; ``--speculate`` fixes the batch width independently of
 the worker count, making the probed period sequence (and the
 deterministic part of the ``--json`` payload) identical across ``--jobs``
-settings.  ``--json PATH`` writes the schema-7 machine-readable payload
-(:mod:`repro.experiments.serialize`) that ``runner report`` can load.
+settings.  ``--json PATH`` writes the machine-readable payload (envelope
+schema :data:`~repro.experiments.serialize.SCHEMA_VERSION`) that
+``runner report`` can load.
 ``--store STORE.jsonl`` additionally appends every evaluated probe as a
 ``dse-probe`` record (plus the payload as a ``payload`` record) to a
 unified artifact store -- probe keys are content-addressed over the
@@ -150,8 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="pareto only: grid size of the period sweep "
                              "(default: 8)")
     parser.add_argument("--json", dest="json_path", metavar="PATH",
-                        help="also write the schema-7 machine-readable "
-                             "payload to PATH")
+                        help="also write the machine-readable payload "
+                             "to PATH")
     parser.add_argument("--store", dest="store_path", metavar="STORE.jsonl",
                         help="also append every evaluated probe (dse-probe "
                              "records) and the payload to this artifact "

@@ -19,7 +19,7 @@ Usage::
         [--mode minclock|pareto] [--jobs N] [--speculate K] \
         [--resolution-ps PS] [--max-stages N] [--json PATH]
     python -m repro.experiments.runner store \
-        (ls|verify|compact|gc|migrate) STORE.jsonl [...]
+        (ls|verify|compact|gc) STORE.jsonl [...]
     python -m repro.experiments.runner serve [--stdin] [--port N] \
         [--jobs N] [--store STORE.jsonl] [...]
 
@@ -63,9 +63,7 @@ cold-miss execution over a persistent worker pool.  See
 
 ``store`` maintains unified artifact-store files (:mod:`repro.store`):
 ``ls`` summarises, ``verify`` health-checks, ``compact`` drops superseded
-duplicate keys, ``gc`` applies size/age retention, and ``migrate`` folds
-the legacy formats (pre-unification campaign stores, evaluation-cache
-JSONL, ``--json`` payloads) into one store file.  ``--store STORE.jsonl``
+duplicate keys and ``gc`` applies size/age retention.  ``--store STORE.jsonl``
 on any experiment additionally archives the run's payload as a
 ``payload`` record in that store.
 
@@ -201,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return dse_main(argv[1:])
     if argv and argv[0] == "store":
-        # Artifact-store maintenance (ls/verify/compact/gc/migrate) owns
+        # Artifact-store maintenance (ls/verify/compact/gc) owns
         # its own subcommand grammar too.
         from repro.store.cli import store_main
 

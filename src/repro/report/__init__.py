@@ -23,8 +23,7 @@ from repro.report.diff import (DEFAULT_THRESHOLD, DiffReport, JobDelta,
                                diff_frames)
 from repro.report.frame import (AXES, METRICS, MetricSpec, ReportFrame,
                                 ReportRow, load_any, load_experiment_payload,
-                                load_frames, load_run_store, metric_spec,
-                                resolve_axis)
+                                load_frames, metric_spec, resolve_axis)
 from repro.report.render import (FORMATS, render_aggregate, render_diff)
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "load_any",
     "load_experiment_payload",
     "load_frames",
-    "load_run_store",
     "metric_spec",
     "render_aggregate",
     "render_diff",

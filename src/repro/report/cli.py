@@ -18,8 +18,9 @@ Two modes share one entry point (:func:`report_main`):
       python -m repro.experiments.runner report diff \\
           runs/main.jsonl runs/branch.jsonl --threshold 0.05
 
-``--json PATH`` additionally writes the schema-5 machine-readable payload
-(:mod:`repro.experiments.serialize`), whatever ``--format`` is printed.
+``--json PATH`` additionally writes the machine-readable ``report`` payload
+(envelope schema :data:`~repro.experiments.serialize.SCHEMA_VERSION`),
+whatever ``--format`` is printed.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("inputs", nargs="+", metavar="INPUT",
-                        help="campaign RunStore .jsonl files and/or runner "
-                             "--json payloads; the literal first word "
+                        help="unified store .jsonl files (campaign run "
+                             "stores among them) and/or runner --json "
+                             "payloads; the literal first word "
                              "'diff' selects diff mode with exactly two "
                              "inputs (OLD NEW)")
     parser.add_argument("--group-by", default="design", metavar="AXES",
@@ -78,8 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH",
                         help="also write the rendered report to PATH")
     parser.add_argument("--json", dest="json_path", metavar="PATH",
-                        help="also write the schema-5 machine-readable "
-                             "payload to PATH")
+                        help="also write the machine-readable payload "
+                             "to PATH")
     return parser
 
 

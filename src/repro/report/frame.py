@@ -2,11 +2,10 @@
 
 Every analysis in :mod:`repro.report` operates on one in-memory shape, the
 :class:`ReportFrame`: a flat list of :class:`ReportRow`, one per (design x
-configuration) run, regardless of whether the run came from a campaign
-:class:`~repro.campaign.store.RunStore` file (legacy or unified format), a
-unified :class:`~repro.store.ArtifactStore` holding campaign/payload
-records, or an experiment ``--json`` payload (envelope schemas 1-9).  A
-row carries
+configuration) run, regardless of whether the run came from a unified
+:class:`~repro.store.ArtifactStore` holding campaign/payload records (a
+campaign :class:`~repro.campaign.store.RunStore` file among them) or an
+experiment ``--json`` payload.  A row carries
 
 * a content-addressed ``job_id`` (the campaign job id, or a synthesised
   digest for table1 rows) that baseline diffs join on,
@@ -17,9 +16,10 @@ row carries
   and true-synthesis-evaluation counts, wall-clock runtimes where the
   source records them).
 
-Loading is schema-tolerant: fields newer than the payload simply produce
-rows without those metrics, so schema-1 payloads and schema-9 payloads
-aggregate side by side.
+Payloads are read from envelope schema 6 (which added ``store_key``) on;
+older payloads and schema-1 campaign run stores are rejected with an error
+naming their schema, never converted.  Fields a payload lacks simply
+produce rows without those metrics.
 
 A tiny in-memory example (runnable)::
 
@@ -42,7 +42,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.campaign.store import RunStore
+from repro.campaign.store import StoreMismatchError
+
+#: Oldest runner payload envelope schema the loaders read.
+OLDEST_PAYLOAD_SCHEMA = 6
 
 #: Grouping axes a frame row may carry (besides metrics).
 AXES = ("source", "design", "clock_period_ps", "extraction", "expansion",
@@ -80,8 +83,8 @@ METRICS: dict[str, MetricSpec] = {
     "iterations": MetricSpec(False, "ISDC feedback iterations actually run"),
     "evaluations": MetricSpec(False, "true synthesis runs (cache answers excluded)"),
     "runtime_s": MetricSpec(False, "wall-clock runtime of the job/row"),
-    "solver_time_s": MetricSpec(False, "cumulative LP re-solve time (schema >= 2)"),
-    "synthesis_time_s": MetricSpec(False, "cumulative subgraph synthesis time (schema >= 2)"),
+    "solver_time_s": MetricSpec(False, "cumulative LP re-solve time"),
+    "synthesis_time_s": MetricSpec(False, "cumulative subgraph synthesis time"),
     "min_clock_ps": MetricSpec(False, "minimum feasible clock period found by the DSE search"),
     "min_ii": MetricSpec(False, "minimum feasible initiation interval found by the DSE min-ii search"),
     "dse_probes": MetricSpec(False, "clock-period probes the DSE search evaluated"),
@@ -237,36 +240,6 @@ def _job_configs_from_spec(spec_payload: dict) -> dict[str, dict]:
         return {}
 
 
-def load_run_store(path: str | Path, source: str | None = None) -> ReportFrame:
-    """Load a campaign RunStore JSONL file into a frame.
-
-    Job rows get their axes from the header's re-expanded spec and their
-    ``runtime_s`` metric from the per-job checkpoint records.
-
-    Raises:
-        FileNotFoundError: no file at ``path``.
-        ValueError: the file is corrupt or has no campaign header
-            (:class:`~repro.campaign.store.StoreMismatchError` is a
-            subclass of :class:`ValueError`).
-    """
-    path = Path(path)
-    label = source if source is not None else path.name
-    store = RunStore.load(path)
-    configs = _job_configs_from_spec(store.header.get("spec", {}))
-    rows = []
-    for job_id, record in store.results.items():
-        rows.append(_campaign_row(
-            source=label, job_id=job_id,
-            design=record.get("design", ""),
-            config=configs.get(job_id, {}),
-            result=record.get("result", {}),
-            runtime_s=record.get("runtime_s")))
-    # Store iteration order is insertion (= completion) order; reports want
-    # the deterministic content-addressed order instead.
-    rows.sort(key=lambda row: row.job_id)
-    return ReportFrame(rows)
-
-
 def _table1_rows(source: str, envelope: dict) -> list[ReportRow]:
     rows = []
     for raw in envelope.get("data", {}).get("rows", []):
@@ -371,26 +344,31 @@ def _campaign_payload_rows(source: str, envelope: dict) -> list[ReportRow]:
     ]
 
 
+#: Row builders of the row-shaped experiments (figure payloads carry
+#: curves, not per-run records).
+_ROW_BUILDERS = {"campaign": _campaign_payload_rows, "dse": _dse_rows,
+                 "service": _service_rows, "table1": _table1_rows}
+
+
 def _payload_envelope_rows(label: str, envelope: dict,
-                           origin: str) -> list[ReportRow]:
-    """Rows of one runner payload envelope; raises for row-less payloads."""
-    experiment = envelope.get("experiment")
-    if experiment == "campaign":
-        return _campaign_payload_rows(label, envelope)
-    if experiment == "table1":
-        return _table1_rows(label, envelope)
-    if experiment == "dse":
-        return _dse_rows(label, envelope)
-    if experiment == "service":
-        return _service_rows(label, envelope)
-    raise ValueError(
-        f"cannot build report rows from the {experiment!r} payload in "
-        f"{origin}; supported experiments: campaign, dse, service, table1")
+                           origin: str) -> list[ReportRow] | None:
+    """Rows of one runner payload envelope; ``None`` for row-less payloads.
+
+    Raises:
+        ValueError: the envelope schema predates :data:`OLDEST_PAYLOAD_SCHEMA`.
+    """
+    schema = envelope.get("schema")
+    if not isinstance(schema, int) or schema < OLDEST_PAYLOAD_SCHEMA:
+        raise ValueError(
+            f"{origin} holds a schema-{schema} runner payload; only envelope "
+            f"schemas {OLDEST_PAYLOAD_SCHEMA} and later are read")
+    builder = _ROW_BUILDERS.get(envelope.get("experiment"))
+    return None if builder is None else builder(label, envelope)
 
 
 def load_experiment_payload(path: str | Path,
                             source: str | None = None) -> ReportFrame:
-    """Load a runner ``--json`` payload (envelope schemas 1-9) into a frame.
+    """Load a runner ``--json`` payload (envelope schema 6 or later) into a frame.
 
     Supported experiments: ``campaign`` (one row per job, axes from each
     job's config), ``table1`` (one row per benchmark, SDC columns as the
@@ -402,7 +380,8 @@ def load_experiment_payload(path: str | Path,
     error.
 
     Raises:
-        ValueError: not a runner payload, or an unsupported experiment.
+        ValueError: not a runner payload, a payload older than envelope
+            schema 6, or an unsupported experiment.
     """
     path = Path(path)
     label = source if source is not None else path.name
@@ -411,6 +390,11 @@ def load_experiment_payload(path: str | Path,
         raise ValueError(f"{path} is not a runner --json payload "
                          "(no 'experiment' field)")
     rows = _payload_envelope_rows(label, envelope, str(path))
+    if rows is None:
+        raise ValueError(
+            f"cannot build report rows from the "
+            f"{envelope['experiment']!r} payload in {path}; supported "
+            f"experiments: {', '.join(sorted(_ROW_BUILDERS))}")
     rows.sort(key=lambda row: row.job_id)
     return ReportFrame(rows)
 
@@ -419,18 +403,20 @@ def load_artifact_store(path: str | Path,
                         source: str | None = None) -> ReportFrame:
     """Load a unified artifact store (:mod:`repro.store`) into a frame.
 
-    Campaign records (``campaign-header`` + ``campaign-job``) become the
-    same rows :func:`load_run_store` produces -- axes re-expanded from each
-    header's spec, ``runtime_s`` from the job bodies; a store holding
-    several campaigns loads them all (job ids are content-addressed, so
-    they cannot collide).  Archived ``payload`` records contribute rows
-    for the row-shaped experiments (campaign/table1/dse); figure payloads
-    and ``synth-eval`` / ``dse-probe`` records carry no per-run rows and
-    are skipped.
+    Campaign records (``campaign-header`` + ``campaign-job``) become one
+    row per job -- axes re-expanded from each header's spec, ``runtime_s``
+    from the job bodies; a store holding several campaigns loads them all
+    (job ids are content-addressed, so they cannot collide).  Rows are
+    sorted by job id, and a torn trailing line is ignored (the file is
+    never modified).  Archived ``payload`` records contribute rows for
+    the row-shaped experiments (campaign/dse/service/table1); figure
+    payloads and ``synth-eval`` / ``dse-probe`` records carry no per-run
+    rows and are skipped.
 
     Raises:
         FileNotFoundError: no file at ``path``.
-        ValueError: mid-file corruption (strict store load).
+        ValueError: mid-file corruption (strict store load), or an
+            archived payload older than envelope schema 6.
     """
     from repro.store import ArtifactStore
 
@@ -450,10 +436,8 @@ def load_artifact_store(path: str | Path,
             result=body.get("result", {}),
             runtime_s=body.get("runtime_s")))
     for record in store.kind("payload"):
-        try:
-            rows.extend(_payload_envelope_rows(label, record.body, str(path)))
-        except ValueError:
-            continue  # archived figure/report payloads carry no rows
+        rows.extend(_payload_envelope_rows(label, record.body, str(path))
+                    or ())
     rows.sort(key=lambda row: row.job_id)
     return ReportFrame(rows)
 
@@ -461,14 +445,14 @@ def load_artifact_store(path: str | Path,
 def load_any(path: str | Path, source: str | None = None) -> ReportFrame:
     """Load any supported input kind by sniffing the first line.
 
-    A file whose first line is a legacy ``{"kind": "header", ...}`` record
-    is a pre-unification campaign RunStore; a store envelope (``kind`` /
-    ``key`` / ``schema`` / ``body``) marks a unified artifact store;
-    anything else must be a runner ``--json`` payload.
+    A store envelope (``kind`` / ``key`` / ``schema`` / ``body``) marks a
+    unified artifact store; anything else must be a runner ``--json``
+    payload.
 
     Raises:
         FileNotFoundError: no file at ``path``.
-        ValueError: neither a store, a run store nor a supported payload.
+        StoreMismatchError: a schema-1 campaign run store.
+        ValueError: neither a store nor a supported payload.
     """
     from repro.store import is_store_record
 
@@ -482,7 +466,9 @@ def load_any(path: str | Path, source: str | None = None) -> ReportFrame:
     if is_store_record(first):
         return load_artifact_store(path, source=source)
     if isinstance(first, dict) and first.get("kind") == "header":
-        return load_run_store(path, source=source)
+        raise StoreMismatchError(
+            f"{path} is a schema-{first.get('schema')} campaign run store; "
+            "only unified stores are read")
     return load_experiment_payload(path, source=source)
 
 
@@ -514,7 +500,6 @@ __all__ = [
     "load_artifact_store",
     "load_experiment_payload",
     "load_frames",
-    "load_run_store",
     "metric_spec",
     "resolve_axis",
 ]

@@ -7,15 +7,12 @@ Operational surface of the unified artifact store::
     python -m repro.experiments.runner store compact STORE
     python -m repro.experiments.runner store gc STORE [--max-bytes N]
         [--max-records N] [--max-age-s S]
-    python -m repro.experiments.runner store migrate SRC [SRC...] --into STORE
 
 ``ls`` lists records (kind, key, schema, body size); ``verify`` re-parses
 the file strictly and reports duplicates / torn tails without modifying
 it; ``compact`` rewrites the file without superseded duplicate keys
 (atomic rename); ``gc`` applies a size/age retention policy on top of
-compaction; ``migrate`` folds legacy files -- campaign run stores (schema
-1), evaluation-cache JSONL, runner ``--json`` payloads -- into a unified
-store, idempotently.
+compaction.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.store.migrate import migrate_file
 from repro.store.store import ArtifactStore, GcPolicy
 
 
@@ -57,15 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--max-age-s", type=float, metavar="S",
                     help="drop records whose envelope timestamp is older "
                          "than S seconds (untimestamped records are kept)")
-
-    migrate = commands.add_parser(
-        "migrate", help="fold legacy files into a unified store")
-    migrate.add_argument("sources", nargs="+", metavar="SRC",
-                         help="legacy campaign run store (schema 1), "
-                              "cache JSONL, runner --json payload, or an "
-                              "existing unified store")
-    migrate.add_argument("--into", required=True, metavar="STORE",
-                         help="destination store (created if missing)")
     return parser
 
 
@@ -121,15 +108,6 @@ def store_main(argv: list[str] | None = None) -> int:
             print(f"{arguments.store}: gc dropped {report.dropped} records, "
                   f"kept {report.num_records} "
                   f"({report.bytes_before} -> {report.bytes_after} bytes)")
-            return 0
-
-        if arguments.command == "migrate":
-            total = 0
-            for source in arguments.sources:
-                detected, added = migrate_file(source, arguments.into)
-                total += added
-                print(f"{source}: {detected} -> {added} records")
-            print(f"{arguments.into}: {total} records migrated")
             return 0
     except FileNotFoundError as error:
         parser.error(f"input not found: {error.filename or error}")

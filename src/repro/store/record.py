@@ -127,5 +127,17 @@ def is_store_record(obj: Any) -> bool:
             and isinstance(obj.get("body"), dict))
 
 
+def payload_key(envelope: dict) -> str:
+    """Content key of a runner payload (experiment name + data body)."""
+    return content_key({"experiment": envelope.get("experiment"),
+                        "data": envelope.get("data")})
+
+
+def payload_record(envelope: dict) -> StoreRecord:
+    """Store record archiving one runner ``--json`` payload envelope."""
+    return StoreRecord(kind="payload", key=payload_key(envelope),
+                       schema=int(envelope.get("schema", 0)), body=envelope)
+
+
 __all__ = ["KEY_BYTES", "STORE_KINDS", "StoreRecord", "canonical_json",
-           "content_key", "is_store_record"]
+           "content_key", "is_store_record", "payload_key", "payload_record"]

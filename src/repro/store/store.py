@@ -340,17 +340,6 @@ class ArtifactStore:
         self.skipped_lines = 0
         return report
 
-    def replace_with(self, records: Iterable[StoreRecord]) -> None:
-        """Atomically replace the store's contents with ``records``.
-
-        Used by format migration: the backing file is rewritten via the
-        same write-to-temp-and-rename path as :meth:`compact`.
-        """
-        self.records = {record.identity: record for record in records}
-        self._duplicates = 0
-        if self.path is not None:
-            self._rewrite(self.records.values())
-
     def merge(self, shard_paths: Sequence[str | Path],
               tolerant: bool = True) -> int:
         """Fold per-worker shard files into this store.

@@ -13,8 +13,9 @@ An optional on-disk layer makes repeated experiment runs warm: pass
 and every fresh evaluation is persisted as a ``synth-eval`` artifact-store
 record, every future cache construction pre-loads matching records.  Records
 are scoped by the backend's configuration signature
-(:func:`backend_signature`): an estimator's guesses are never served as STA
-numbers and two differently-characterised libraries never share records.
+(:meth:`~repro.synth.backend.FlowBackend.signature`): an estimator's
+guesses are never served as STA numbers and two differently-characterised
+libraries never share records.
 """
 
 from __future__ import annotations
@@ -25,45 +26,18 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.ir.graph import DataflowGraph
-from repro.store import (SYNTH_EVAL_BODY_SCHEMA, ArtifactStore, StoreRecord,
-                         synth_eval_key)
+from repro.store import ArtifactStore, StoreRecord, content_key
 from repro.synth.fingerprint import subgraph_fingerprint
 from repro.synth.report import SynthesisReport
 
+#: Body schema of ``synth-eval`` store records.
+SYNTH_EVAL_BODY_SCHEMA = 1
 
-def backend_signature(backend) -> str:
-    """Configuration signature of a backend, for persisted-record scoping.
 
-    Reports persisted by one backend configuration must never be served to a
-    differently-configured one, so every disk record carries this signature
-    and mismatching records are skipped on load.
-
-    Backends declare their own identity via an explicit ``signature()``
-    method (see :meth:`~repro.synth.flow.SynthesisFlow.signature`), which is
-    expected to cover everything that changes reported numbers -- including
-    the *content* identity of the technology library / delay model, which
-    the old attribute-probing fallback silently conflated across
-    characterisations.  The fallback below remains only for third-party
-    backends that predate the protocol; it now at least appends the
-    library's content signature when one is available.
-    """
-    declared = getattr(backend, "signature", None)
-    if callable(declared):
-        return declared()
-    parts = [type(backend).__name__]
-    for attribute in ("optimize", "compute_aig", "pessimism"):
-        if hasattr(backend, attribute):
-            parts.append(f"{attribute}={getattr(backend, attribute)}")
-    optimizer = getattr(backend, "_optimizer", None)
-    if optimizer is not None:
-        parts.append(f"balance={optimizer.balance}")
-    library = getattr(backend, "library", None)
-    if library is not None:
-        content = getattr(library, "signature", None)
-        label = content() if callable(content) else \
-            getattr(library, "name", type(library).__name__)
-        parts.append(f"library={label}")
-    return ",".join(parts)
+def synth_eval_key(backend_signature: str, fingerprint: str) -> str:
+    """Content key of one (backend configuration, subgraph) evaluation."""
+    return content_key({"backend": backend_signature,
+                        "fingerprint": fingerprint})
 
 
 @dataclass
@@ -124,7 +98,7 @@ class EvaluationCache:
         # from them is visible in the accounting (stats.disk_hits) instead of
         # masquerading as a synthesis run.
         self._disk_entries: dict[str, SynthesisReport] = {}
-        self._backend_key = backend_signature(backend)
+        self._backend_key = backend.signature()
         if store is not None:
             self._store: ArtifactStore | None = store
         elif disk_path is not None:
@@ -201,9 +175,8 @@ class EvaluationCache:
         """Warm the second-level dict from the store's ``synth-eval`` records.
 
         Only records written under *this* backend's signature are loaded;
-        records from other configurations (or legacy records whose old-style
-        signature can no longer match any current backend) stay on disk,
-        ignored.  Malformed bodies are skipped, never fatal.
+        records from other configurations stay on disk, ignored.  Malformed
+        bodies are skipped, never fatal.
         """
         if self._store is None:
             return

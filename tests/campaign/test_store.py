@@ -32,7 +32,7 @@ def test_fresh_store_writes_header(tmp_path):
     assert header["body"]["num_jobs"] == len(spec.jobs())
 
 
-def _legacy_store_file(path, spec, jobs_with_results):
+def _schema1_store_file(path, spec, jobs_with_results):
     """Write a pre-unification schema-1 run store file."""
     lines = [json.dumps({
         "kind": "header", "schema": 1, "name": spec.name,
@@ -45,44 +45,15 @@ def _legacy_store_file(path, spec, jobs_with_results):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_legacy_schema1_store_loads_readonly(tmp_path):
+def test_resuming_a_schema1_store_is_refused_untouched(tmp_path):
     spec = _spec()
-    path = tmp_path / "legacy.jsonl"
-    jobs = spec.jobs()
-    _legacy_store_file(path, spec, [(job, _fake_result(job))
-                                    for job in jobs[:2]])
+    path = tmp_path / "old.jsonl"
+    _schema1_store_file(path, spec, [(job, _fake_result(job))
+                                     for job in spec.jobs()[:2]])
     before = path.read_bytes()
-    store = RunStore.load(path)
-    assert store.header["fingerprint"] == spec.fingerprint()
-    assert store.completed == {jobs[0].job_id, jobs[1].job_id}
-    assert store.results[jobs[0].job_id]["result"] == _fake_result(jobs[0])
-    assert path.read_bytes() == before  # analysis never modifies the file
-
-
-def test_legacy_schema1_store_resumes_via_migration(tmp_path):
-    spec = _spec()
-    path = tmp_path / "legacy.jsonl"
-    jobs = spec.jobs()
-    _legacy_store_file(path, spec, [(job, _fake_result(job))
-                                    for job in jobs[:2]])
-    resumed = RunStore(path)
-    resumed.open(spec, resume=True)
-    assert resumed.completed == {jobs[0].job_id, jobs[1].job_id}
-    assert resumed.missing(spec) == jobs[2:]
-    # The file is now in the unified format and keeps working.
-    first = json.loads(path.read_text().splitlines()[0])
-    assert first["kind"] == "campaign-header"
-    resumed.record(jobs[2], _fake_result(jobs[2]), runtime_s=0.1)
-    reread = RunStore.load(path)
-    assert reread.completed == {job.job_id for job in jobs[:3]}
-
-
-def test_legacy_resume_still_rejects_a_different_campaign(tmp_path):
-    spec = _spec()
-    path = tmp_path / "legacy.jsonl"
-    _legacy_store_file(path, spec, [])
-    with pytest.raises(StoreMismatchError):
-        RunStore(path).open(_spec(max_iterations=3), resume=True)
+    with pytest.raises(StoreMismatchError, match="schema-1"):
+        RunStore(path).open(spec, resume=True)
+    assert path.read_bytes() == before
 
 
 def test_final_payload_survives_compaction(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.report.aggregate import DEFAULT_REDUCERS, REDUCERS, aggregate
-from repro.report.frame import ReportFrame, ReportRow, load_run_store
+from repro.report.frame import ReportFrame, ReportRow, load_artifact_store
 
 
 def _frame(rows):
@@ -80,7 +80,7 @@ class TestGrouping:
         assert report.num_rows == 3
 
     def test_alias_m_groups_by_subgraph_count(self, store_path):
-        frame = load_run_store(store_path)
+        frame = load_artifact_store(store_path)
         report = aggregate(frame, group_by=("m",), metrics=("iterations",),
                            reducers=("count",))
         assert report.group_by == ("subgraphs_per_iteration",)

@@ -164,3 +164,34 @@ class TestDiffMode:
                      "--group-by", "source"]) == 0
         out = capsys.readouterr().out
         assert "8 rows in 2 groups" in out
+
+
+class TestRetiredFormats:
+    @pytest.mark.parametrize("kind,schema", [("run-store", 1),
+                                             ("payload", 5),
+                                             ("archived-payload", 5)])
+    def test_retired_input_is_a_usage_error_naming_its_schema(
+            self, tmp_path, spec, store_path, capsys, kind, schema):
+        payload = {"schema": schema, "experiment": "table1",
+                   "data": {"rows": []}}
+        if kind == "run-store":
+            path = tmp_path / "old.jsonl"
+            path.write_text(json.dumps(
+                {"kind": "header", "schema": schema, "name": spec.name,
+                 "fingerprint": spec.fingerprint(), "num_jobs": 0,
+                 "spec": spec.to_dict()}) + "\n")
+        elif kind == "payload":
+            path = tmp_path / "old.json"
+            path.write_text(json.dumps(payload, indent=2))
+        else:
+            from repro.store import ArtifactStore, payload_record
+
+            path = store_path
+            ArtifactStore(path).open_for_append().put(
+                payload_record(payload))
+        before = path.read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", str(path)])
+        assert excinfo.value.code == 2
+        assert f"schema-{schema}" in capsys.readouterr().err
+        assert path.read_bytes() == before

@@ -1,18 +1,33 @@
 """Tests for the unified report frame and its loaders."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.campaign.store import RunStore, StoreMismatchError
+from repro.experiments.serialize import SCHEMA_VERSION
 from repro.report.frame import (ReportFrame, ReportRow, load_any,
-                                load_experiment_payload, load_frames,
-                                load_run_store, metric_spec, resolve_axis)
+                                load_artifact_store, load_experiment_payload,
+                                load_frames, metric_spec, resolve_axis)
+from repro.store import ArtifactStore, StoreRecord, payload_record
 from tests.report.conftest import make_spec, synthetic_result, write_store
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+#: Envelope schemas written before the artifact store (``store_key``).
+RETIRED_SCHEMAS = [1, 2, 3, 4, 5]
+
+
+def _table1_payload(schema):
+    return {"schema": schema, "experiment": "table1",
+            "data": {"rows": [{"benchmark": "crc32",
+                               "clock_period_ps": 1500.0,
+                               "isdc_registers": 12}]}}
 
 
 class TestRunStoreLoading:
     def test_rows_carry_axes_and_metrics(self, store_path, spec):
-        frame = load_run_store(store_path)
+        frame = load_artifact_store(store_path)
         assert len(frame.rows) == len(spec.jobs())
         row = frame.rows[0]
         assert row.axes["design"] == "rrot"
@@ -27,41 +42,44 @@ class TestRunStoreLoading:
             1 - row.metrics["register_ratio"])
 
     def test_rows_sorted_by_job_id(self, store_path):
-        frame = load_run_store(store_path)
+        frame = load_artifact_store(store_path)
         ids = [row.job_id for row in frame.rows]
         assert ids == sorted(ids)
 
     def test_source_defaults_to_file_name(self, store_path):
-        assert load_run_store(store_path).rows[0].source == "store.jsonl"
-        assert load_run_store(store_path, source="x").rows[0].source == "x"
+        assert load_any(store_path).rows[0].source == "store.jsonl"
+        assert load_any(store_path, source="x").rows[0].source == "x"
 
     def test_torn_trailing_line_is_tolerated_and_file_untouched(
             self, store_path):
         original = store_path.read_bytes()
-        store_path.write_bytes(original + b'{"kind": "job", "job_')
-        frame = load_run_store(store_path)
+        store_path.write_bytes(original + b'{"kind": "campaign-job", "ke')
+        frame = load_any(store_path)
         assert len(frame.rows) == 4
         # Read-only analysis must not repair (rewrite) the store.
-        assert store_path.read_bytes().endswith(b'{"kind": "job", "job_')
+        assert store_path.read_bytes().endswith(b'{"kind": "campaign-job", "ke')
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_run_store(tmp_path / "nope.jsonl")
+            load_any(tmp_path / "nope.jsonl")
+        with pytest.raises(FileNotFoundError):
+            load_artifact_store(tmp_path / "nope.jsonl")
 
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "job", "job_id": "x"}\n')
-        with pytest.raises(ValueError, match="no campaign header"):
-            load_run_store(path)
+        with pytest.raises(ValueError, match="not a runner --json payload"):
+            load_any(path)
+        with pytest.raises(ValueError, match="non-envelope"):
+            load_artifact_store(path)
 
 
 class TestPayloadLoading:
     def test_campaign_payload(self, tmp_path, spec, store_path):
-        from repro.campaign.store import RunStore
-
-        store = RunStore.load(store_path)
-        payload = {"schema": 3, "experiment": "campaign", "quick": True,
-                   "jobs": 1, "solver": "full", "elapsed_s": 1.0,
+        store = RunStore(store_path)
+        store.open(spec, resume=True)
+        payload = {"schema": SCHEMA_VERSION, "experiment": "campaign",
+                   "quick": True, "jobs": 1, "elapsed_s": 1.0,
                    "data": store.final_payload(spec)}
         path = tmp_path / "campaign.json"
         path.write_text(json.dumps(payload))
@@ -73,14 +91,16 @@ class TestPayloadLoading:
         assert all("runtime_s" not in row.metrics for row in frame.rows)
         assert frame.rows[0].axes["extraction"] in ("fanout", "delay")
 
-    def test_table1_payload_including_schema1(self, tmp_path):
-        # Schema-1 payloads predate solver/evaluations/phase columns.
+    def test_table1_payload_without_optional_columns(self, tmp_path):
+        # Columns a payload lacks (here evaluations and the phase split)
+        # become absent metrics.
         row = {"benchmark": "rrot", "clock_period_ps": 2000.0,
                "sdc_slack_ps": 100.0, "sdc_stages": 4, "sdc_registers": 40,
                "sdc_time_s": 0.1, "isdc_slack_ps": 60.0, "isdc_stages": 3,
                "isdc_registers": 30, "isdc_time_s": 1.5,
                "isdc_iterations": 5}
-        payload = {"schema": 1, "experiment": "table1", "quick": False,
+        payload = {"schema": SCHEMA_VERSION, "experiment": "table1",
+                   "quick": False,
                    "jobs": 1, "elapsed_s": 2.0, "data": {"rows": [row]}}
         path = tmp_path / "table1.json"
         path.write_text(json.dumps(payload))
@@ -115,7 +135,8 @@ class TestPayloadLoading:
             row = {"benchmark": "crc32", "clock_period_ps": 1500.0,
                    "isdc_registers": registers}
             path = tmp_path / name
-            path.write_text(json.dumps({"schema": 4, "experiment": "table1",
+            path.write_text(json.dumps({"schema": SCHEMA_VERSION,
+                                        "experiment": "table1",
                                         "data": {"rows": [row]}}))
             return path
 
@@ -125,7 +146,8 @@ class TestPayloadLoading:
 
     def test_figure_payload_rejected(self, tmp_path):
         path = tmp_path / "fig5.json"
-        path.write_text(json.dumps({"schema": 4, "experiment": "fig5",
+        path.write_text(json.dumps({"schema": SCHEMA_VERSION,
+                                    "experiment": "fig5",
                                     "data": {"curves": []}}))
         with pytest.raises(ValueError, match="fig5"):
             load_experiment_payload(path)
@@ -136,29 +158,52 @@ class TestPayloadLoading:
         with pytest.raises(ValueError, match="not a runner --json payload"):
             load_experiment_payload(path)
 
+    @pytest.mark.parametrize("loader", [load_any, load_experiment_payload])
+    @pytest.mark.parametrize("schema", RETIRED_SCHEMAS)
+    def test_pre_store_payload_rejected_untouched(self, tmp_path, schema,
+                                                  loader):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(_table1_payload(schema), indent=2))
+        before = path.read_bytes()
+        with pytest.raises(ValueError,
+                           match=f"schema-{schema} runner payload"):
+            loader(path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("schema", [None, "9"])
+    def test_payload_without_an_integer_schema_rejected(self, tmp_path,
+                                                        schema):
+        payload = _table1_payload(schema)
+        if schema is None:
+            del payload["schema"]
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="runner payload; only envelope"):
+            load_any(path)
+
+    @pytest.mark.parametrize("schema", [6, 7, 8, SCHEMA_VERSION])
+    def test_store_era_payloads_load(self, tmp_path, schema):
+        path = tmp_path / "t1.json"
+        path.write_text(json.dumps(_table1_payload(schema), indent=2))
+        (row,) = load_any(path).rows
+        assert row.metrics["registers_final"] == 12.0
+
+    def test_committed_service_baseline_loads(self):
+        path = REPO_ROOT / "BENCH_service.json"
+        assert json.loads(path.read_text())["schema"] == 8
+        (row,) = load_any(path).rows
+        assert row.axes["design"] == "service:quick"
+        assert row.metrics["requests_per_s"] > 0
+
 
 class TestArtifactStoreLoading:
-    def test_unified_store_loads_like_a_run_store(self, store_path):
-        from repro.report.frame import load_artifact_store
-
-        run_frame = load_run_store(store_path, source="s")
-        store_frame = load_artifact_store(store_path, source="s")
-        assert store_frame.rows == run_frame.rows
-
     def test_mixed_store_adds_payload_rows_and_skips_other_kinds(
             self, tmp_path, store_path):
-        from repro.report.frame import load_artifact_store
-        from repro.store import ArtifactStore, StoreRecord, payload_record
-
+        num_campaign_rows = len(load_artifact_store(store_path).rows)
         store = ArtifactStore(store_path).open_for_append()
-        num_campaign_rows = len(load_run_store(store_path).rows)
         store.put(StoreRecord(kind="synth-eval", key="e1", schema=1,
                               body={"backend": "x", "fingerprint": "fp"}))
-        store.put(payload_record(
-            {"schema": 6, "experiment": "table1",
-             "data": {"rows": [{"benchmark": "crc32",
-                                "clock_period_ps": 1500.0,
-                                "isdc_registers": 12}]}}))
+        store.put(payload_record(_table1_payload(6)))
         store.put(payload_record(
             {"schema": 6, "experiment": "fig5", "data": {"curves": []}}))
         frame = load_artifact_store(store_path)
@@ -167,35 +212,63 @@ class TestArtifactStoreLoading:
                        if row.axes.get("design") == "crc32"]
         assert table1_rows[0].metrics["registers_final"] == 12.0
 
-    def test_legacy_run_store_still_loads_through_load_any(self, tmp_path,
-                                                           spec):
-        legacy = tmp_path / "legacy.jsonl"
-        jobs = spec.jobs()
+    @pytest.mark.parametrize("schema", RETIRED_SCHEMAS)
+    def test_archived_pre_store_payload_rejected_untouched(self, store_path,
+                                                           schema):
+        # A figure payload carries no rows, yet an old one still fails the
+        # load: no silent partial read of a store holding retired records.
+        store = ArtifactStore(store_path).open_for_append()
+        store.put(payload_record(_table1_payload(SCHEMA_VERSION)))
+        store.put(payload_record({"schema": schema, "experiment": "fig5",
+                                  "data": {"curves": []}}))
+        before = store_path.read_bytes()
+        for loader in (load_any, load_artifact_store):
+            with pytest.raises(ValueError,
+                               match=f"schema-{schema} runner payload"):
+                loader(store_path)
+        assert store_path.read_bytes() == before
+
+    def test_schema1_run_store_rejected_untouched(self, tmp_path, spec):
+        path = tmp_path / "old.jsonl"
         lines = [json.dumps({"kind": "header", "schema": 1,
                              "name": spec.name,
                              "fingerprint": spec.fingerprint(),
-                             "num_jobs": len(jobs),
+                             "num_jobs": len(spec.jobs()),
                              "spec": spec.to_dict()})]
-        from tests.report.conftest import synthetic_result
-
-        for job in jobs:
+        for job in spec.jobs():
             lines.append(json.dumps({"kind": "job", "job_id": job.job_id,
                                      "design": job.design,
                                      "result": synthetic_result(job),
                                      "runtime_s": 0.25}))
-        legacy.write_text("\n".join(lines) + "\n")
-        before = legacy.read_bytes()
-        frame = load_any(legacy)
-        assert len(frame.rows) == len(jobs)
-        assert frame.rows[0].axes["design"] == "rrot"
-        assert legacy.read_bytes() == before  # analysis never migrates
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(StoreMismatchError, match="schema-1"):
+            load_any(path)
+        assert path.read_bytes() == before
+
+    def test_header_spec_with_a_retired_axis_keeps_the_design_axis(
+            self, tmp_path, spec):
+        # A store written before envelope schema 9 carries a `solvers` axis
+        # its spec no longer parses with: rows lose every axis but design.
+        path = tmp_path / "old-spec.jsonl"
+        write_store(path, spec)
+        store = ArtifactStore(path).open_for_append()
+        (header,) = store.kind("campaign-header")
+        old_spec = dict(header.body["spec"], solvers=["full"])
+        store.put(StoreRecord(kind=header.kind, key=header.key,
+                              schema=header.schema,
+                              body=dict(header.body, spec=old_spec)))
+        frame = load_any(path)
+        assert len(frame.rows) == len(spec.jobs())
+        assert all(row.axes == {"design": "rrot"} for row in frame.rows)
+        assert frame.rows[0].metrics["registers_final"] >= 10
 
 
 class TestSniffingAndMerging:
     def test_load_any_detects_both_kinds(self, tmp_path, store_path):
         payload_path = tmp_path / "t1.json"
         payload_path.write_text(json.dumps(
-            {"schema": 4, "experiment": "table1",
+            {"schema": SCHEMA_VERSION, "experiment": "table1",
              "data": {"rows": [{"benchmark": "rrot",
                                 "clock_period_ps": 2000.0,
                                 "isdc_registers": 30}]}}))

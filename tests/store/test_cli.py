@@ -33,6 +33,19 @@ class TestDispatch:
         with pytest.raises(SystemExit):
             main(["store", "verify", str(tmp_path / "nope.jsonl")])
 
+    def test_migrate_is_not_a_subcommand(self, tmp_path, capsys):
+        legacy = tmp_path / "legacy.jsonl"
+        legacy.write_text(json.dumps(
+            {"kind": "header", "schema": 1, "name": "sweep",
+             "fingerprint": "f" * 32, "num_jobs": 0, "spec": {}}) + "\n")
+        destination = tmp_path / "unified.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", "migrate", str(legacy), "--into",
+                  str(destination)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
+        assert not destination.exists()
+
 
 class TestSubcommands:
     def test_ls_filters_by_kind_and_emits_json(self, tmp_path, capsys):
@@ -76,20 +89,3 @@ class TestSubcommands:
         assert len(survivors) == 4
         # The campaign header is pinned against size pressure.
         assert survivors.get("campaign-header", "f" * 32) is not None
-
-    def test_migrate_folds_legacy_files(self, tmp_path, capsys):
-        legacy = tmp_path / "legacy.jsonl"
-        legacy.write_text(json.dumps(
-            {"kind": "header", "schema": 1, "name": "sweep",
-             "fingerprint": "f" * 32, "num_jobs": 0, "spec": {}}) + "\n")
-        payload = tmp_path / "payload.json"
-        payload.write_text(json.dumps(
-            {"schema": 2, "experiment": "table1", "data": {"rows": []}}))
-        destination = tmp_path / "unified.jsonl"
-        assert main(["store", "migrate", str(legacy), str(payload),
-                     "--into", str(destination)]) == 0
-        out = capsys.readouterr().out
-        assert "run-store-v1 -> 1 records" in out
-        assert "payload-json -> 1 records" in out
-        merged = ArtifactStore.load(destination)
-        assert merged.kinds() == {"campaign-header": 1, "payload": 1}

@@ -29,6 +29,20 @@ def test_backends_satisfy_protocol(library):
     assert isinstance(SynthesisFlow(library), FlowBackend)
 
 
+def test_protocol_requires_a_signature(library):
+    class Unsigned:
+        def __init__(self):
+            self.library = library
+
+        def evaluate_subgraph(self, graph, node_ids, name=""):
+            raise NotImplementedError
+
+        def evaluate_batch(self, graph, node_sets, names=None):
+            raise NotImplementedError
+
+    assert not isinstance(Unsigned(), FlowBackend)
+
+
 def test_create_backend_registry(library):
     assert isinstance(create_backend("local", library), LocalSynthesisBackend)
     assert isinstance(create_backend("estimator", library), EstimatorBackend)

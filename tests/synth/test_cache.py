@@ -173,8 +173,7 @@ def test_disk_records_are_store_envelopes(adder_chain_graph, library,
     """The cache's disk layer writes unified synth-eval store records."""
     import json
 
-    from repro.store import synth_eval_key
-    from repro.synth.cache import backend_signature
+    from repro.synth.cache import synth_eval_key
 
     path = tmp_path / "evals.jsonl"
     flow = SynthesisFlow(library)
@@ -183,7 +182,7 @@ def test_disk_records_are_store_envelopes(adder_chain_graph, library,
     cache.evaluate(adder_chain_graph, [names["s1"]])
     record = json.loads(path.read_text().splitlines()[0])
     assert record["kind"] == "synth-eval"
-    assert record["body"]["backend"] == backend_signature(flow)
+    assert record["body"]["backend"] == flow.signature()
     assert record["key"] == synth_eval_key(record["body"]["backend"],
                                            record["body"]["fingerprint"])
     assert "t" in record  # GC timestamp rides on the envelope
@@ -214,8 +213,6 @@ def test_signature_tracks_library_characterisation(library):
     not share disk records (the flaw the explicit signature() fixes)."""
     import copy
 
-    from repro.synth.cache import backend_signature
-
     retimed = copy.deepcopy(library)
     cell = retimed.cells["xor2"]
     retimed.cells["xor2"] = type(cell)(name=cell.name,
@@ -223,20 +220,19 @@ def test_signature_tracks_library_characterisation(library):
                                        area_um2=cell.area_um2,
                                        num_inputs=cell.num_inputs)
     assert retimed.name == library.name
-    assert backend_signature(SynthesisFlow(library)) != \
-        backend_signature(SynthesisFlow(retimed))
+    assert SynthesisFlow(library).signature() != \
+        SynthesisFlow(retimed).signature()
 
 
 def test_estimator_and_synthesis_signatures_differ(library):
     from repro.synth.backend import EstimatorBackend, LocalSynthesisBackend
-    from repro.synth.cache import backend_signature
 
-    synth = backend_signature(SynthesisFlow(library))
-    assert backend_signature(EstimatorBackend(library)) != synth
+    synth = SynthesisFlow(library).signature()
+    assert EstimatorBackend(library).signature() != synth
     # The parallel backend is bit-identical to the serial flow and
     # legitimately shares its persisted records.
     with LocalSynthesisBackend(library) as parallel:
-        assert backend_signature(parallel) == synth
+        assert parallel.signature() == synth
 
 
 def test_repeated_runs_with_compaction_stop_growing_the_file(
