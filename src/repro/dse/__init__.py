@@ -1,4 +1,4 @@
-"""Design-space exploration over clock periods with warm-started re-solves.
+"""Design-space exploration over clock periods with reused probe results.
 
 The DSE layer answers "what is the fastest clock this design schedules
 at?" (and, more generally, "what latency/register trade-offs exist across
@@ -6,15 +6,15 @@ clock periods?") by treating one (design, clock period) schedule as a
 black-box probe and searching over periods.  The perf heart is the
 warm-start engine (:mod:`repro.dse.warm`): across clock points of one
 design the delay matrix is *identical* -- only the combinational budget
-moves -- so the solved :class:`~repro.sdc.problem.ScheduleProblem` of the
-nearest previously-probed period is cloned and rebased to the new budget
-by patching just the timing bounds whose ``ceil(delay / budget)`` bucket
-changed, byte-identical to a cold rebuild.
+moves -- so each design keeps one
+:class:`~repro.sdc.problem.ScheduleProblem` that every probe rebuilds cold
+at its budget, and a probe whose timing rows equal an earlier solve's
+reuses that schedule without an LP call.
 
 Modules:
 
 * :mod:`repro.dse.warm` -- per-design :class:`ProblemCache` (context build,
-  fingerprint memoization, clone + rebase warm start) and
+  fingerprint memoization, same-plateau reuse) and
   :class:`ProbeOutcome`.
 * :mod:`repro.dse.optimizer` -- the :class:`Optimizer` protocol
   (``next_batch`` / ``process_outcome`` / ``done`` / ``best``) with
@@ -23,8 +23,6 @@ Modules:
 * :mod:`repro.dse.search` -- the batched driver threading probes through a
   process pool with per-worker caches.
 * :mod:`repro.dse.cli` -- the ``runner dse`` subcommand.
-* :mod:`repro.dse.bench` -- the warm-vs-cold benchmark behind
-  ``BENCH_dse.json``.
 """
 
 from repro.dse.optimizer import (

@@ -6,9 +6,9 @@ until the optimizer converges; batches are fanned out over a persistent
 process pool (:class:`~repro.parallel.PersistentPool`), and every worker
 process keeps its own module-global :class:`~repro.dse.warm.ProblemCache`
 so warm-start state accumulates worker-locally across batches and designs.
-Because warm-started probes are byte-identical to cold ones, the schedule
-results never depend on which worker (or which donor problem) served a
-probe -- only the provenance counters do.
+Because reused probes are byte-identical to cold ones, the schedule
+results never depend on which worker served a probe -- only the
+provenance counters do.
 
 Batch *width* is decoupled from worker count by ``speculate``: the
 optimizer always proposes ``speculate`` periods per batch (default: the
@@ -66,8 +66,8 @@ def evaluate_min_ii(item: tuple[str, float]
 
     Unlike clock probes (one LP solve each, batched by the optimizer), a
     min-II search is an inherently sequential bisection over *one* shared
-    problem -- so the unit of parallelism is the design, and the II-axis
-    warm-start reuse (``rebase_ii`` rhs patches) happens inside the worker.
+    problem -- so the unit of parallelism is the design, and every II
+    probe (a ``rebase_ii`` rebuild) happens inside the worker.
     """
     design, latency_weight = item
     return worker_cache(latency_weight).min_ii_search(design)
@@ -215,8 +215,7 @@ def deterministic_payload(payload: dict) -> dict:
 def _design_stats(probes: list[ProbeOutcome]) -> dict[str, float]:
     """Aggregate warm-start provenance counters over one design's probes."""
     memo_hits = sum(1 for o in probes if o.memo_hit)
-    warm_solves = sum(1 for o in probes if o.warm_patched)
-    reused = sum(1 for o in probes if o.solution_reuse)
+    warm_solves = sum(1 for o in probes if o.solution_reuse)
     lp_rebuilds = sum(1 for o in probes if o.lp_rebuild)
     budget_skips = sum(1 for o in probes
                        if not o.feasible and o.reason == "budget"
@@ -225,10 +224,8 @@ def _design_stats(probes: list[ProbeOutcome]) -> dict[str, float]:
     return {
         "memo_hits": memo_hits,
         "warm_solves": warm_solves,
-        "reused_solutions": reused,
         "lp_rebuilds": lp_rebuilds,
         "budget_skips": budget_skips,
-        "bound_patches": sum(o.bound_patches for o in probes),
         "warm_hit_rate": (memo_hits + warm_solves) / served if served else 0.0,
         "solve_time_s": sum(o.solve_time_s for o in probes),
     }

@@ -1,40 +1,41 @@
-"""The DSE warm-start engine: cross-clock-point ``ScheduleProblem`` reuse.
+"""The DSE warm-start engine: cross-clock-point reuse for one design.
 
 A clock-period search probes the *same* design at many periods.  Everything
-expensive about one probe except the LP solve itself -- building the graph,
-characterising per-node delays, the all-pairs critical-path matrix, the
-register weights and users map, the constraint system, the assembled LP --
-depends only on the design, or changes between periods in a tightly
-structured way.  The :class:`ProblemCache` exploits both levels:
+expensive about one probe except the constraint build and the LP solve --
+building the graph, characterising per-node delays, the all-pairs
+critical-path matrix, the register weights and users map -- depends only
+on the design.  The :class:`ProblemCache` exploits that:
 
 * a :class:`DesignContext` is built once per design and shared by every
   probe (graph, delays, matrix, structural fingerprint);
-* the solved :class:`~repro.sdc.problem.ScheduleProblem` of each feasible
-  probe is retained, and a new probe warm-starts by cloning the problem of
-  the *nearest* previously-solved period and rebasing it to the new budget
-  (:meth:`~repro.sdc.problem.ScheduleProblem.rebase_timing` -- only bounds
-  whose ``ceil(delay / budget)`` bucket changed are patched, falling back
-  to a full constraint rebuild when the constrained-pair set moved);
+* one persistent :class:`~repro.sdc.problem.ScheduleProblem` per design is
+  moved to each probe's budget with
+  :meth:`~repro.sdc.problem.ScheduleProblem.rebase_timing`, which sets the
+  budget and rebuilds the constraint system cold from arrays;
+* neighbouring periods often share a *plateau*: every ``ceil(delay /
+  budget)`` bucket is the same, so the timing rows are identical.  The
+  solved stages are kept per digest of the timing rows, and a probe whose
+  rows match an earlier solve reuses its schedule with zero LP calls;
 * repeated probes of a structurally identical design at the same period
   are memoized on the design's subgraph fingerprint and cost nothing.
 
-Warm-started probes are byte-identical to cold ones: the rebased LP arrays
-equal a from-scratch build's (see :meth:`ScheduleProblem.rebase_timing`)
-and both paths run the one shared :func:`~repro.sdc.solver.solve_problem`.
-The parity suite under ``tests/dse/`` enforces this on every probe.
+Reused probes are byte-identical to cold ones: equal timing rows mean an
+equal constraint system and LP, and HiGHS is deterministic.  The parity
+suite under ``tests/dse/`` enforces this on every probe.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 import numpy as np
 
 from repro.designs.generator import case_from_name
 from repro.ir.graph import DataflowGraph
-from repro.sdc.delays import NOT_CONNECTED, critical_path_matrix, node_delays
+from repro.sdc.constraints import ConstraintSystem
+from repro.sdc.delays import critical_path_matrix, node_delays
 from repro.sdc.loops import min_feasible_ii
 from repro.sdc.pipeline import count_pipeline_registers
 from repro.sdc.problem import ScheduleProblem
@@ -54,7 +55,7 @@ class DesignContext:
         graph: the built dataflow graph.
         delays: isolated per-node delays (closed-form operator model).
         matrix: all-pairs critical-path delay matrix; *identical across
-            clock periods*, which is what makes rebasing sound.
+            clock periods*, so only the budget moves between probes.
         index_of: node id -> matrix row/column.
         worst_delay_ps: largest single-operation delay; any budget below it
             is infeasible without touching the LP.
@@ -64,8 +65,6 @@ class DesignContext:
         fingerprint: structural fingerprint of the whole graph -- the
             memoization key component that makes probe results reusable
             across structurally identical builds.
-        sorted_offdiag: every off-diagonal delay-matrix entry, sorted --
-            the lookup table behind :meth:`pair_rank`.
     """
 
     name: str
@@ -77,25 +76,11 @@ class DesignContext:
     register_overhead_ps: float
     default_clock_ps: float
     fingerprint: str
-    sorted_offdiag: np.ndarray = field(repr=False)
 
     @property
     def lower_bound_ps(self) -> float:
         """Analytic minimum feasible clock period (worst delay + overhead)."""
         return self.worst_delay_ps + self.register_overhead_ps
-
-    def pair_rank(self, budget_ps: float) -> int:
-        """How many off-diagonal pairs carry a timing constraint at a budget.
-
-        The constrained-pair set ``matrix > budget`` is *nested* in the
-        budget (shrinking the budget only adds pairs), so two budgets have
-        the same pair set exactly when they have the same rank.  A donor
-        problem with the target's rank can always be rebased by bound
-        patching alone; one with a different rank never can.
-        """
-        position = int(np.searchsorted(self.sorted_offdiag, budget_ps,
-                                       side="right"))
-        return len(self.sorted_offdiag) - position
 
 
 def build_context(name: str) -> DesignContext:
@@ -113,16 +98,23 @@ def build_context(name: str) -> DesignContext:
         loops = ",".join(f"{e.src}>{e.phi}x{e.distance}"
                          for e in graph.back_edges())
         fingerprint = f"{fingerprint}|loops:{loops}"
-    offdiag = np.asarray(matrix, dtype=float).copy()
-    np.fill_diagonal(offdiag, NOT_CONNECTED)
     return DesignContext(
         name=name, graph=graph, delays=delays, matrix=matrix,
         index_of=index_of,
         worst_delay_ps=max(delays.values(), default=0.0),
         register_overhead_ps=sky130_library().register_delay_ps,
         default_clock_ps=case.clock_period_ps,
-        fingerprint=fingerprint,
-        sorted_offdiag=np.sort(offdiag.ravel()))
+        fingerprint=fingerprint)
+
+
+def timing_digest(system: ConstraintSystem) -> bytes:
+    """A digest of a system's timing rows: equal rows, equal digest.
+
+    The key of same-plateau reuse: for one design, two budgets whose
+    timing rows are equal build equal constraint systems and LPs.
+    """
+    return hashlib.blake2b(system.rows_of("timing").tobytes(),
+                           digest_size=16).digest()
 
 
 @dataclass(frozen=True)
@@ -130,11 +122,11 @@ class ProbeOutcome:
     """The result of scheduling one design at one clock period.
 
     The schedule-describing fields (``feasible``, ``num_stages``,
-    ``num_registers``, ``stages``) are deterministic: warm and cold probes
-    are byte-identical, so they do not depend on which cache served the
-    probe.  The provenance fields (``warm_patched``, ``lp_rebuild``,
-    ``memo_hit``, ``bound_patches``, ``solve_time_s``) describe how *this*
-    evaluation was served and vary with worker/cache layout.
+    ``num_registers``, ``stages``) are deterministic: reused and cold
+    probes are byte-identical, so they do not depend on which cache served
+    the probe.  The provenance fields (``solution_reuse``, ``lp_rebuild``,
+    ``memo_hit``, ``solve_time_s``) describe how *this* evaluation was
+    served and vary with worker/cache layout.
 
     Attributes:
         design: design name.
@@ -150,15 +142,12 @@ class ProbeOutcome:
             the per-candidate probes of a min-II search trace, where it is
             the *probed* candidate).
         stages: the full node id -> stage schedule (feasible probes only).
-        warm_patched: served by rebasing a cloned donor problem in place.
-        solution_reuse: the rebase patched *zero* bounds -- the LP is
-            byte-identical to the donor's solved state, so the donor's
-            schedule was reused without an LP call (HiGHS is deterministic,
-            so a cold solve would return exactly the same schedule).
-        lp_rebuild: a full constraint/LP build was performed (cold probe,
-            or a rebase whose pair set moved).
+        solution_reuse: the timing rows equal an earlier solved probe's, so
+            that probe's schedule was reused without an LP call (HiGHS is
+            deterministic, so a cold solve would return exactly the same
+            schedule).
+        lp_rebuild: an LP was assembled and solved for this probe.
         memo_hit: served from the fingerprint memo without any solve.
-        bound_patches: timing bounds patched during the rebase.
         solve_time_s: wall-clock seconds of this evaluation (0 for memo
             hits and budget rejections).
     """
@@ -171,11 +160,9 @@ class ProbeOutcome:
     num_registers: int | None = None
     ii: int | None = None
     stages: dict[int, int] | None = field(default=None, repr=False)
-    warm_patched: bool = False
     solution_reuse: bool = False
     lp_rebuild: bool = False
     memo_hit: bool = False
-    bound_patches: int = 0
     solve_time_s: float = 0.0
 
     def to_payload(self) -> dict:
@@ -193,22 +180,19 @@ class ProbeOutcome:
 class ProblemCache:
     """Per-process warm-start state of a clock-period search.
 
-    One cache holds, per design: the :class:`DesignContext`, every solved
-    :class:`~repro.sdc.problem.ScheduleProblem` keyed by clock period, and
-    a fingerprint-keyed memo of probe outcomes.  :meth:`probe` is the
-    single evaluation entry point; the search driver keeps one cache per
-    worker process so parallel batches warm-start independently (results
-    are identical either way -- see the module docstring).
+    One cache holds, per design: the :class:`DesignContext`, one persistent
+    :class:`~repro.sdc.problem.ScheduleProblem`, the solved stages of each
+    plateau keyed by :func:`timing_digest`, and a fingerprint-keyed memo of
+    probe outcomes.  :meth:`probe` is the single evaluation entry point;
+    the search driver keeps one cache per worker process so parallel
+    batches warm-start independently (results are identical either way --
+    see the module docstring).
 
     Attributes:
         latency_weight: LP tie-breaking weight, part of the memo key.
         memo_hits: probes served from the fingerprint memo.
-        warm_solves: probes served by clone + in-place rebase (including
-            zero-patch rebases that reused the donor's solution outright).
-        reused_solutions: the zero-patch subset of ``warm_solves`` -- no
-            LP call at all.
-        cold_solves: probes that built (or rebuilt) the full constraint
-            system and LP.
+        warm_solves: probes served by same-plateau reuse -- no LP call.
+        cold_solves: probes that assembled and solved an LP.
         budget_skips: probes rejected analytically without any LP.
     """
 
@@ -216,12 +200,11 @@ class ProblemCache:
         self.latency_weight = float(latency_weight)
         self.memo_hits = 0
         self.warm_solves = 0
-        self.reused_solutions = 0
         self.cold_solves = 0
         self.budget_skips = 0
         self._contexts: dict[str, DesignContext] = {}
-        self._solved: dict[str, dict[float, tuple[ScheduleProblem,
-                                                  dict[int, int], int]]] = {}
+        self._problems: dict[str, ScheduleProblem] = {}
+        self._plateaus: dict[str, dict[bytes, tuple[dict[int, int], int]]] = {}
         self._memo: dict[tuple, ProbeOutcome] = {}
 
     def context(self, design: str) -> DesignContext:
@@ -232,36 +215,27 @@ class ProblemCache:
             self._contexts[design] = context
         return context
 
-    def _nearest_solved(self, design: str, clock_period_ps: float,
-                        pair_rank: int | None = None
-                        ) -> tuple[ScheduleProblem, dict[int, int], int] | None:
-        """Solved (problem, schedule, rank) of the best donor period.
-
-        Donors sharing the target's pair rank are preferred (their rebase
-        is guaranteed to succeed as a pure bound patch); among candidates
-        the nearest period wins, smaller period breaking ties.
-        """
-        solved = self._solved.get(design)
-        if not solved:
-            return None
-        candidates = solved
-        if pair_rank is not None:
-            same_rank = {period: entry for period, entry in solved.items()
-                         if entry[2] == pair_rank}
-            if same_rank:
-                candidates = same_rank
-        donor_period = min(candidates,
-                           key=lambda p: (abs(p - clock_period_ps), p))
-        return candidates[donor_period]
+    def _problem_at(self, design: str, context: DesignContext,
+                    budget: float) -> ScheduleProblem:
+        """The design's persistent problem, rebuilt for ``budget``."""
+        problem = self._problems.get(design)
+        if problem is None:
+            problem = ScheduleProblem(context.graph, context.matrix,
+                                      context.index_of, budget,
+                                      latency_weight=self.latency_weight)
+            self._problems[design] = problem
+        else:
+            problem.rebase_timing(context.matrix, context.index_of, budget)
+        return problem
 
     def probe(self, design: str, clock_period_ps: float) -> ProbeOutcome:
         """Schedule ``design`` at ``clock_period_ps``, as warmly as possible.
 
         The fast paths, in order: fingerprint memo (free), analytic budget
-        rejection (free), clone-and-rebase from the nearest solved period
-        (bound patches only), full cold build.  All solving paths go
-        through the shared :func:`~repro.sdc.solver.solve_problem`, so the
-        returned schedule never depends on which path served the probe.
+        rejection (free), same-plateau reuse (a rebuild and a digest, no
+        LP), full solve.  Every solve goes through the shared
+        :func:`~repro.sdc.solver.solve_problem`, so the returned schedule
+        never depends on which path served the probe.
         """
         context = self.context(design)
         period = float(clock_period_ps)
@@ -270,9 +244,8 @@ class ProblemCache:
         hit = self._memo.get(key)
         if hit is not None:
             self.memo_hits += 1
-            return replace(hit, memo_hit=True, warm_patched=False,
-                           solution_reuse=False, lp_rebuild=False,
-                           bound_patches=0, solve_time_s=0.0)
+            return replace(hit, memo_hit=True, solution_reuse=False,
+                           lp_rebuild=False, solve_time_s=0.0)
 
         budget = period - context.register_overhead_ps
         if budget <= 0.0 or context.worst_delay_ps > budget:
@@ -283,77 +256,30 @@ class ProblemCache:
             return outcome
 
         start = time.perf_counter()
-        rank = context.pair_rank(budget)
-        donor = self._nearest_solved(design, period, pair_rank=rank)
-        reused = False
-        stages: dict[int, int] | None = None
-        if donor is None:
-            problem = ScheduleProblem(context.graph, context.matrix,
-                                      context.index_of, budget,
-                                      latency_weight=self.latency_weight)
-            warm_patched = False
-            patches = 0
-            self.cold_solves += 1
+        problem = self._problem_at(design, context, budget)
+        plateau = self._plateaus.setdefault(design, {})
+        digest = timing_digest(problem.system)
+        reused = digest in plateau
+        if reused:
+            self.warm_solves += 1
+            stages, ii = plateau[digest]
         else:
-            donor_problem, donor_stages, donor_rank = donor
-            problem = donor_problem.clone()
-            if donor_rank == rank:
-                patches_before = problem.bound_patches
-                warm_patched = problem.retarget(context.matrix,
-                                                context.index_of, budget)
-                patches = problem.bound_patches - patches_before
-            else:
-                # The pair sets provably differ (nested sets of different
-                # cardinality): skip the doomed rebase attempt and rebuild
-                # the cloned system directly, still reusing the donor's
-                # register weights and users map.
-                problem.timing_budget_ps = budget
-                problem.rebuild(context.matrix, context.index_of)
-                warm_patched = False
-                patches = 0
-            if warm_patched:
-                self.warm_solves += 1
-                if patches == 0:
-                    # The rebase touched nothing: the clone's LP is
-                    # byte-identical to the donor's solved state, and
-                    # HiGHS is deterministic, so a fresh solve would
-                    # return exactly the donor's schedule.
-                    reused = True
-                    stages = dict(donor_stages)
-                    self.reused_solutions += 1
-            else:
-                self.cold_solves += 1
-
-        if stages is None:
+            self.cold_solves += 1
             try:
-                if context.graph.has_back_edges:
-                    # Loop design: a clock probe resolves the minimum
-                    # feasible II at this period (in-place rebase_ii
-                    # probes over the same problem).
-                    _, stages = min_feasible_ii(problem)
-                else:
-                    stages = solve_problem(problem)
+                stages = _solve(context, problem)
             except SdcInfeasibleError:
                 outcome = ProbeOutcome(
                     design=design, clock_period_ps=period, feasible=False,
-                    reason="lp", warm_patched=warm_patched,
-                    lp_rebuild=not warm_patched, bound_patches=patches,
+                    reason="lp", lp_rebuild=True,
                     solve_time_s=time.perf_counter() - start)
                 self._memo[key] = outcome
                 return outcome
+            ii = problem.ii
+            plateau[digest] = (dict(stages), ii)
 
-        schedule = Schedule(graph=context.graph, clock_period_ps=period,
-                            stages=stages, ii=problem.ii)
-        registers, _ = count_pipeline_registers(schedule)
-        outcome = ProbeOutcome(
-            design=design, clock_period_ps=period, feasible=True,
-            num_stages=schedule.num_stages, num_registers=registers,
-            ii=problem.ii, stages=dict(stages), warm_patched=warm_patched,
-            solution_reuse=reused, lp_rebuild=not warm_patched,
-            bound_patches=patches,
-            solve_time_s=time.perf_counter() - start)
-        self._solved.setdefault(design, {})[period] = (problem, dict(stages),
-                                                       rank)
+        outcome = _feasible_outcome(context, period, stages, ii, start,
+                                    solution_reuse=reused,
+                                    lp_rebuild=not reused)
         self._memo[key] = outcome
         return outcome
 
@@ -362,10 +288,8 @@ class ProblemCache:
         """Resolve a design's minimum feasible II, recording every II probe.
 
         The whole search runs over *one* :class:`ScheduleProblem` -- each II
-        candidate is an in-place :meth:`~repro.sdc.problem.ScheduleProblem.rebase_ii`
-        (loop bounds patched in the cached LP's right-hand side) plus one
-        warm re-solve, the same cross-point reuse discipline the
-        clock-period search applies along the clock axis.
+        candidate is a :meth:`~repro.sdc.problem.ScheduleProblem.rebase_ii`
+        (set the II and rebuild) plus one LP solve.
 
         Args:
             design: design name (``loop:`` spec, ``.ir`` path, or any
@@ -408,7 +332,7 @@ class ProblemCache:
                 reason="" if feasible else "lp", num_stages=num_stages,
                 num_registers=num_registers, ii=ii,
                 stages=dict(stages) if stages is not None else None,
-                warm_patched=ii > 1, bound_patches=problem.bound_patches))
+                lp_rebuild=True))
 
         try:
             min_ii, stages = min_feasible_ii(problem, on_probe=record)
@@ -418,26 +342,17 @@ class ProblemCache:
                 reason="lp", lp_rebuild=True,
                 solve_time_s=time.perf_counter() - start), trace
 
-        schedule = Schedule(graph=context.graph, clock_period_ps=period,
-                            stages=stages, ii=min_ii)
-        registers, _ = count_pipeline_registers(schedule)
-        final = ProbeOutcome(
-            design=design, clock_period_ps=period, feasible=True,
-            num_stages=schedule.num_stages, num_registers=registers,
-            ii=min_ii, stages=dict(stages), lp_rebuild=True,
-            bound_patches=problem.bound_patches,
-            solve_time_s=time.perf_counter() - start)
+        final = _feasible_outcome(context, period, stages, min_ii, start,
+                                  lp_rebuild=True)
         return final, trace
 
-    def cold_probe(self, design: str, clock_period_ps: float,
-                   matrix: np.ndarray | None = None,
-                   index_of: Mapping[int, int] | None = None) -> ProbeOutcome:
+    def cold_probe(self, design: str, clock_period_ps: float) -> ProbeOutcome:
         """A from-scratch reference probe bypassing every warm path.
 
-        Used by the parity tests and the warm-vs-cold benchmark: builds a
-        fresh :class:`~repro.sdc.problem.ScheduleProblem` (full constraint
-        system, fresh LP) and solves it through the same
-        :func:`~repro.sdc.solver.solve_problem`.  Nothing is cached.
+        Used by the parity tests and the service worker: builds a fresh
+        :class:`~repro.sdc.problem.ScheduleProblem` and solves it through
+        the same :func:`~repro.sdc.solver.solve_problem`.  Nothing is
+        cached.
         """
         context = self.context(design)
         period = float(clock_period_ps)
@@ -446,25 +361,42 @@ class ProblemCache:
             return ProbeOutcome(design=design, clock_period_ps=period,
                                 feasible=False, reason="budget")
         start = time.perf_counter()
-        problem = ScheduleProblem(
-            context.graph,
-            context.matrix if matrix is None else matrix,
-            context.index_of if index_of is None else index_of,
-            budget, latency_weight=self.latency_weight)
+        problem = ScheduleProblem(context.graph, context.matrix,
+                                  context.index_of, budget,
+                                  latency_weight=self.latency_weight)
         try:
-            if context.graph.has_back_edges:
-                _, stages = min_feasible_ii(problem)
-            else:
-                stages = solve_problem(problem)
+            stages = _solve(context, problem)
         except SdcInfeasibleError:
             return ProbeOutcome(design=design, clock_period_ps=period,
                                 feasible=False, reason="lp", lp_rebuild=True,
                                 solve_time_s=time.perf_counter() - start)
-        schedule = Schedule(graph=context.graph, clock_period_ps=period,
-                            stages=stages, ii=problem.ii)
-        registers, _ = count_pipeline_registers(schedule)
-        return ProbeOutcome(
-            design=design, clock_period_ps=period, feasible=True,
-            num_stages=schedule.num_stages, num_registers=registers,
-            ii=problem.ii, stages=dict(stages), lp_rebuild=True,
-            solve_time_s=time.perf_counter() - start)
+        return _feasible_outcome(context, period, stages, problem.ii, start,
+                                 lp_rebuild=True)
+
+
+def _solve(context: DesignContext, problem: ScheduleProblem
+           ) -> dict[int, int]:
+    """Schedule a probe's problem: the minimum feasible II's schedule for a
+    loop design (leaving the problem rebased at that II), one LP for a DAG.
+
+    Raises:
+        SdcInfeasibleError: if the period admits no schedule.
+    """
+    if context.graph.has_back_edges:
+        _, stages = min_feasible_ii(problem)
+        return stages
+    return solve_problem(problem)
+
+
+def _feasible_outcome(context: DesignContext, period: float,
+                      stages: dict[int, int], ii: int, start: float,
+                      **provenance) -> ProbeOutcome:
+    """The outcome of a feasible probe, with its stage and register counts."""
+    schedule = Schedule(graph=context.graph, clock_period_ps=period,
+                        stages=stages, ii=ii)
+    registers, _ = count_pipeline_registers(schedule)
+    return ProbeOutcome(
+        design=context.name, clock_period_ps=period, feasible=True,
+        num_stages=schedule.num_stages, num_registers=registers, ii=ii,
+        stages=dict(stages), solve_time_s=time.perf_counter() - start,
+        **provenance)

@@ -5,7 +5,7 @@ can be archived, diffed and consumed by the benchmark suite (``--json PATH``
 on :mod:`repro.experiments.runner`).  The payload envelope is::
 
     {
-      "schema": 9,
+      "schema": 10,
       "experiment": "<name>",
       "store_key": "<hex>",  # content key of (experiment, data), see repro.store
       "quick": bool,
@@ -47,7 +47,10 @@ warm-vs-cold speedup -- all wall-clock-derived by nature, gated
 direction-aware by ``runner report diff``); 9 removed the ``solver``
 envelope field together with the re-solve strategy knob (the ISDC loop has
 one re-solve path), so campaign job configs lose their ``solver`` field
-and job ids change.
+and job ids change; 10 removed the patched-bound and reused-solution
+counters from the ``dse`` payload's per-design ``warm`` block together
+with the clone-and-patch warm path (every probe rebuilds its constraints
+cold, and ``warm_solves`` now counts the same-plateau reuses alone).
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from repro.experiments.fig8 import AigCorrelationResult
 from repro.experiments.table1 import TableOneResult
 from repro.store import payload_key
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 def _table1_payload(result: TableOneResult) -> dict[str, Any]:

@@ -88,8 +88,8 @@ METRICS: dict[str, MetricSpec] = {
     "min_clock_ps": MetricSpec(False, "minimum feasible clock period found by the DSE search"),
     "min_ii": MetricSpec(False, "minimum feasible initiation interval found by the DSE min-ii search"),
     "dse_probes": MetricSpec(False, "clock-period probes the DSE search evaluated"),
-    "warm_hit_rate": MetricSpec(True, "fraction of probes/requests served warm (DSE memo or patched re-solve; service cache hits)"),
-    "lp_rebuilds": MetricSpec(False, "DSE probes that needed a full LP rebuild"),
+    "warm_hit_rate": MetricSpec(True, "fraction of probes/requests served warm (DSE memo or same-plateau reuse; service cache hits)"),
+    "lp_rebuilds": MetricSpec(False, "DSE probes that assembled and solved an LP"),
     "requests_per_s": MetricSpec(True, "sustained scheduling-service throughput (service bench)"),
     "p50_latency_s": MetricSpec(False, "median per-request service latency (service bench)"),
     "p95_latency_s": MetricSpec(False, "95th-percentile per-request service latency (service bench)"),

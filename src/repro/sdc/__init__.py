@@ -8,8 +8,8 @@ that both XLS and the paper's baseline use:
 * :mod:`~repro.sdc.delays` -- per-node delays and the all-pairs critical-path
   (combinational) delay matrix used for timing constraints;
 * :mod:`~repro.sdc.problem` -- the persistent :class:`ScheduleProblem`
-  (cached objective data, constraint system with stable row identities,
-  assembled LP structure) and its clock-period rebase;
+  (cached objective data, array-built constraint system, assembled LP
+  structure) and its one cold build path;
 * :mod:`~repro.sdc.solver` -- LP solution (scipy HiGHS) of the constraint
   system with a register-lifetime objective, ASAP/ALAP schedules from
   longest-path propagation, and the re-solves of a persistent problem;

@@ -4,12 +4,28 @@ All HLS scheduling constraints used here are integer-difference constraints
 of the form ``s_u - s_v <= bound`` (paper Eq. 1), which keeps the LP's
 constraint matrix totally unimodular and therefore guarantees an integral
 optimum (Cong & Zhang, DAC'06).
+
+A :class:`ConstraintSystem` keeps its rows as one integer array
+(:attr:`ConstraintSystem.rows`), so bulk builders append thousands of rows
+with one :meth:`~ConstraintSystem.extend` call and the LP assembly and the
+feasibility check read them without a per-row Python object.
+:class:`DifferenceConstraint` objects are only made for callers that
+iterate the system or ask for its violations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterator, Mapping
+
+import numpy as np
+
+#: Constraint categories; a row stores its kind as an index into this tuple.
+KINDS = ("user", "dependency", "timing", "loop")
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+
+#: Columns of :attr:`ConstraintSystem.rows`.
+U_COL, V_COL, BOUND_COL, KIND_COL = range(4)
 
 
 @dataclass(frozen=True)
@@ -20,8 +36,8 @@ class DifferenceConstraint:
         u: node id of the left variable.
         v: node id of the right variable.
         bound: the integer bound.
-        kind: constraint category, used for reporting and for selective
-            rebuilds ("dependency", "timing", "pin", "user").
+        kind: constraint category, used for reporting ("dependency",
+            "timing", "loop", "user"; "pin" marks a violated pin).
     """
 
     u: int
@@ -34,7 +50,54 @@ class DifferenceConstraint:
         return schedule[self.u] - schedule[self.v] <= self.bound
 
 
-@dataclass
+def _kind_code(kind: str) -> int:
+    try:
+        return _KIND_CODES[kind]
+    except KeyError:
+        raise ValueError(f"unknown constraint kind {kind!r}; expected one of "
+                         + ", ".join(KINDS)) from None
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an ``(n, 3)`` key array not repeating an earlier row.
+
+    The three columns are packed into one int64 per row whenever their
+    value ranges allow it (always, for node ids and stage bounds), which
+    keeps the sort one-dimensional.
+    """
+    low = keys.min(axis=0)
+    spans = [int(high) - int(lo) + 1 for lo, high in zip(low, keys.max(axis=0))]
+    if spans[0] * spans[1] * spans[2] < 2 ** 62:
+        shifted = keys - low
+        packed = (shifted[:, 0] * spans[1] + shifted[:, 1]) * spans[2] \
+            + shifted[:, 2]
+        _, first = np.unique(packed, return_index=True)
+    else:
+        _, first = np.unique(keys, axis=0, return_index=True)
+    mask = np.zeros(len(keys), dtype=bool)
+    mask[first] = True
+    return mask
+
+
+def _values_at(schedule: Mapping[int, int], ids: np.ndarray) -> np.ndarray:
+    """``schedule[i]`` for every node id in the non-empty array ``ids``.
+
+    Raises:
+        KeyError: naming the first id the schedule does not cover.
+    """
+    if not schedule:
+        raise KeyError(int(ids.flat[0]))
+    keys = np.fromiter(schedule, dtype=np.int64, count=len(schedule))
+    order = np.argsort(keys)
+    keys = keys[order]
+    values = np.array(list(schedule.values()))[order]
+    position = np.searchsorted(keys, ids).clip(max=len(keys) - 1)
+    missing = keys[position] != ids
+    if missing.any():
+        raise KeyError(int(ids[missing][0]))
+    return values[position]
+
+
 class ConstraintSystem:
     """A collection of difference constraints over node variables.
 
@@ -44,16 +107,11 @@ class ConstraintSystem:
             pinned to cycle 0).
     """
 
-    variables: set[int] = field(default_factory=set)
-    pinned: dict[int, int] = field(default_factory=dict)
-    _constraints: list[DifferenceConstraint] = field(default_factory=list)
-    _seen: set[tuple[int, int, int]] = field(default_factory=set, repr=False)
-    _timing_rows: dict[tuple[int, int], int] = field(default_factory=dict,
-                                                     repr=False)
-    _loop_rows: dict[tuple[int, int], int] = field(default_factory=dict,
-                                                   repr=False)
-    _loop_distances: dict[tuple[int, int], int] = field(default_factory=dict,
-                                                        repr=False)
+    def __init__(self) -> None:
+        self.variables: set[int] = set()
+        self.pinned: dict[int, int] = {}
+        self._rows = np.zeros((0, 4), dtype=np.int64)
+        self._rows.flags.writeable = False
 
     def add_variable(self, node_id: int) -> None:
         """Register a schedule variable."""
@@ -64,25 +122,53 @@ class ConstraintSystem:
         self.add_variable(node_id)
         self.pinned[node_id] = time_step
 
+    @property
+    def rows(self) -> np.ndarray:
+        """Every constraint as one read-only ``(m, 4)`` int64 array.
+
+        Columns are ``u``, ``v``, ``bound`` and the kind's index in
+        :data:`KINDS` (see :data:`U_COL` .. :data:`KIND_COL`); row order is
+        insertion order.
+        """
+        return self._rows
+
     def add(self, u: int, v: int, bound: int, kind: str = "user") -> bool:
         """Add ``s_u - s_v <= bound``.
 
         Duplicate (u, v, bound) triples are ignored; when several bounds exist
         for the same (u, v) pair all are kept (the tightest governs anyway).
+        Each call scans the existing rows, so builders of many rows use
+        :meth:`extend`.
 
         Returns:
             True if the constraint was newly added.
         """
-        self.add_variable(u)
-        self.add_variable(v)
-        key = (u, v, bound)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        if kind == "timing":
-            self._timing_rows[(u, v)] = len(self._constraints)
-        self._constraints.append(DifferenceConstraint(u, v, bound, kind))
-        return True
+        return self.extend([u], [v], [bound], kind) == 1
+
+    def extend(self, u, v, bound, kind: str) -> int:
+        """Add ``s_u[i] - s_v[i] <= bound[i]`` for every ``i`` at once.
+
+        The bulk form of :meth:`add`: rows keep their order, and a triple
+        already in the system (or earlier in the batch) is skipped.
+
+        Returns:
+            The number of constraints added.
+        """
+        code = _kind_code(kind)
+        batch = np.column_stack((
+            np.asarray(u, dtype=np.int64).ravel(),
+            np.asarray(v, dtype=np.int64).ravel(),
+            np.asarray(bound, dtype=np.int64).ravel(),
+            np.full(np.size(u), code, dtype=np.int64)))
+        if not len(batch):
+            return 0
+        keep = _first_occurrences(
+            np.concatenate((self._rows, batch))[:, :BOUND_COL + 1])
+        batch = batch[keep[len(self._rows):]]
+        self._rows = np.concatenate((self._rows, batch))
+        self._rows.flags.writeable = False
+        self.variables.update(np.unique(batch[:, :BOUND_COL]).tolist())
+        return len(batch)
 
     def add_dependency(self, producer: int, consumer: int) -> bool:
         """Require ``consumer`` to be scheduled no earlier than ``producer``."""
@@ -104,106 +190,47 @@ class ConstraintSystem:
         ``s_src - s_phi <= II * d - 1`` (the ``-1`` is the register
         boundary the value crosses).
 
-        Like timing constraints, loop constraints have stable row
-        identities so :meth:`set_loop_bound` can rebase every bound in
-        place when the II changes during the minimum-II search.
-
         Returns:
             True if the constraint was newly added.
         """
-        added = self.add(src, phi, ii * distance - 1, kind="loop")
-        if added:
-            self._loop_rows[(src, phi)] = len(self._constraints) - 1
-            self._loop_distances[(src, phi)] = distance
-        return added
+        return self.add(src, phi, ii * distance - 1, kind="loop")
 
-    def set_loop_bound(self, src: int, phi: int, ii: int) -> bool:
-        """Rebase the loop constraint on ``(src, phi)`` to a new II.
+    def _make(self, row: list[int]) -> DifferenceConstraint:
+        u, v, bound, code = row
+        return DifferenceConstraint(u, v, bound, KINDS[code])
 
-        The constraint keeps its row identity; only the bound changes.
-
-        Returns:
-            True if the bound actually changed.
-
-        Raises:
-            KeyError: if no loop constraint exists for the pair.
-        """
-        row = self._loop_rows[(src, phi)]
-        distance = self._loop_distances[(src, phi)]
-        bound = ii * distance - 1
-        old = self._constraints[row]
-        if old.bound == bound:
-            return False
-        self._seen.discard((src, phi, old.bound))
-        self._seen.add((src, phi, bound))
-        self._constraints[row] = DifferenceConstraint(src, phi, bound, "loop")
-        return True
-
-    def loop_entries(self) -> list[tuple[int, int, int, int]]:
-        """All ``(src, phi, distance, row)`` loop entries in insertion order."""
-        return [(src, phi, self._loop_distances[(src, phi)], row)
-                for (src, phi), row in self._loop_rows.items()]
-
-    def num_loop_pairs(self) -> int:
-        """Number of back-edges currently carrying a loop constraint."""
-        return len(self._loop_rows)
-
-    def num_timing_pairs(self) -> int:
-        """Number of node pairs currently carrying a timing constraint."""
-        return len(self._timing_rows)
-
-    def timing_entries(self) -> list[tuple[int, int, int]]:
-        """All ``(u, v, row)`` timing entries in insertion (row-major) order.
-
-        Insertion order is the enumeration order of the builder
-        (:func:`~repro.sdc.problem.add_timing_constraints` walks
-        ``np.nonzero(matrix > budget)`` row-major), which is what lets the
-        clock-period rebase pack the pairs into arrays aligned with a fresh
-        row-major enumeration.
-        """
-        return [(u, v, row) for (u, v), row in self._timing_rows.items()]
-
-    def set_timing_bound(self, u: int, v: int, bound: int) -> bool:
-        """Replace the bound of the existing timing constraint on ``(u, v)``.
-
-        The constraint keeps its row identity (list position); only the bound
-        changes.  Row indices never move once assigned, so cached LP rows and
-        adjacency lists built over row indices stay valid across rebases.
-
-        Returns:
-            True if the bound actually changed.
-
-        Raises:
-            KeyError: if no timing constraint exists for the pair.
-        """
-        row = self._timing_rows[(u, v)]
-        old = self._constraints[row]
-        if old.bound == bound:
-            return False
-        self._seen.discard((u, v, old.bound))
-        self._seen.add((u, v, bound))
-        self._constraints[row] = DifferenceConstraint(u, v, bound, "timing")
-        return True
-
-    def constraint_at(self, row: int) -> DifferenceConstraint:
-        """The constraint stored at a given row index."""
-        return self._constraints[row]
+    def rows_of(self, kind: str) -> np.ndarray:
+        """The rows of one constraint kind, in insertion order."""
+        rows = self.rows
+        return rows[rows[:, KIND_COL] == _kind_code(kind)]
 
     def constraints(self, kind: str | None = None) -> list[DifferenceConstraint]:
         """All constraints, optionally filtered by ``kind``."""
-        if kind is None:
-            return list(self._constraints)
-        return [c for c in self._constraints if c.kind == kind]
+        rows = self.rows if kind is None else self.rows_of(kind)
+        return [self._make(row) for row in rows.tolist()]
 
     def __len__(self) -> int:
-        return len(self._constraints)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[DifferenceConstraint]:
-        return iter(self._constraints)
+        return map(self._make, self.rows.tolist())
+
+    def _violated_rows(self, schedule: Mapping[int, int]) -> np.ndarray:
+        """Mask of the rows ``schedule`` violates (pins not included)."""
+        rows = self.rows
+        if not len(rows):
+            return np.zeros(0, dtype=bool)
+        values = _values_at(schedule, rows[:, :BOUND_COL])
+        return values[:, 0] - values[:, 1] > rows[:, BOUND_COL]
+
+    def _pins_hold(self, schedule: Mapping[int, int]) -> bool:
+        return all(schedule.get(node_id) == time_step
+                   for node_id, time_step in self.pinned.items())
 
     def violations(self, schedule: dict[int, int]) -> list[DifferenceConstraint]:
         """Constraints violated by ``schedule`` (pins included)."""
-        violated = [c for c in self._constraints if not c.is_satisfied(schedule)]
+        violated = [self._make(row) for row in
+                    self.rows[self._violated_rows(schedule)].tolist()]
         for node_id, time_step in self.pinned.items():
             if schedule.get(node_id) != time_step:
                 violated.append(DifferenceConstraint(node_id, node_id, -1, kind="pin"))
@@ -211,40 +238,5 @@ class ConstraintSystem:
 
     def is_feasible_schedule(self, schedule: dict[int, int]) -> bool:
         """True if ``schedule`` satisfies every constraint and pin."""
-        return not self.violations(schedule)
-
-    def clone(self) -> "ConstraintSystem":
-        """An independent deep copy of this system.
-
-        The constraint list, seen-set, timing-row map, variables and pins are
-        all duplicated, so mutating the clone (``add``, ``set_timing_bound``)
-        never touches the original.  The :class:`DifferenceConstraint`
-        entries themselves are frozen and therefore shared.
-        """
-        duplicate = ConstraintSystem(
-            variables=set(self.variables),
-            pinned=dict(self.pinned),
-            _constraints=list(self._constraints),
-            _seen=set(self._seen),
-            _timing_rows=dict(self._timing_rows),
-            _loop_rows=dict(self._loop_rows),
-            _loop_distances=dict(self._loop_distances),
-        )
-        return duplicate
-
-    def merge(self, other: "ConstraintSystem") -> None:
-        """Merge another system's variables, pins and constraints into this one."""
-        for node_id in other.variables:
-            self.add_variable(node_id)
-        for node_id, time_step in other.pinned.items():
-            self.pin(node_id, time_step)
-        for constraint in other:
-            self.add(constraint.u, constraint.v, constraint.bound, constraint.kind)
-
-
-def count_by_kind(constraints: Iterable[DifferenceConstraint]) -> dict[str, int]:
-    """Histogram of constraint kinds (reporting helper)."""
-    counts: dict[str, int] = {}
-    for constraint in constraints:
-        counts[constraint.kind] = counts.get(constraint.kind, 0) + 1
-    return counts
+        return not self._violated_rows(schedule).any() \
+            and self._pins_hold(schedule)

@@ -5,11 +5,9 @@ Modulo scheduling adds one difference constraint per loop back-edge,
 feasible region only *grows* with the initiation interval: II feasibility
 is monotone.  That makes the minimum II a bracket-and-bisect search over a
 single :class:`~repro.sdc.problem.ScheduleProblem` -- each probe is a
-:meth:`~repro.sdc.problem.ScheduleProblem.rebase_ii` (an in-place patch of
-the loop bounds in the cached LP's right-hand side, never a rebuild)
-followed by one warm :func:`~repro.sdc.solver.solve_problem` call.  This is
-the same rhs-patch warm-start discipline the clock-period DSE uses for
-``rebase_timing``, applied to the II axis.
+:meth:`~repro.sdc.problem.ScheduleProblem.rebase_ii` (set the II and
+rebuild the system cold) followed by one
+:func:`~repro.sdc.solver.solve_problem` call.
 """
 
 from __future__ import annotations
@@ -42,9 +40,9 @@ def min_feasible_ii(problem: ScheduleProblem, max_ii: int | None = None,
 
     Probes II = 1 first (feed-forward graphs and loops whose recurrences
     fit one cycle stop after a single solve), then doubles the candidate
-    until feasible and bisects the bracket.  Every probe reuses the same
+    until feasible and bisects the bracket.  Every probe moves the same
     problem via :meth:`~repro.sdc.problem.ScheduleProblem.rebase_ii`, so
-    the cost per probe is one warm LP solve.
+    the cost per probe is one rebuild plus one LP solve.
 
     The search cap defaults to ``len(graph) + 1``: with unit distances the
     recurrence constraint ``s_src - s_phi <= II * d - 1`` is implied by the

@@ -2,28 +2,19 @@
 
 A :class:`ScheduleProblem` owns everything the LP solve of one graph
 needs -- the difference-constraint system, the register weights and users
-map of the objective, and the assembled sparse LP structure -- and keeps it
-alive across re-solves.  The ISDC loop rebuilds the constraint system from
-the updated delay matrix every iteration (:meth:`ScheduleProblem.rebuild`),
-reusing the per-graph objective data.  The DSE layer probes one problem at
-many clock periods (or IIs) instead, and only the bounds move between
-probes: :meth:`ScheduleProblem.rebase_timing` swaps the affected timing-
-constraint bounds in place.  Constraints keep stable row identities
-(:meth:`~repro.sdc.constraints.ConstraintSystem.set_timing_bound`), so the
-cached LP matrix and repair adjacency stay valid and only the right-hand
-side is patched.
+map of the objective, and the assembled sparse LP -- and keeps the
+per-graph parts alive across re-solves.  There is one way to build a
+problem's constraints and LP, and every change is a cold rebuild through
+it: the ISDC loop rebuilds from the updated delay matrix every iteration
+(:meth:`ScheduleProblem.rebuild`), and the DSE layer moves one problem
+between clock periods or IIs by setting the field and rebuilding
+(:meth:`ScheduleProblem.rebase_timing`, :meth:`ScheduleProblem.rebase_ii`).
 
-A rebase preserves byte-level parity with a from-scratch rebuild:
-
-* the set of timing pairs is canonical -- a full rebuild enumerates
-  ``np.nonzero(matrix > budget)`` in row-major order, so as long as the
-  *set* of constrained pairs is unchanged the constraint order (and hence
-  the LP row order) is identical;
-* patched bounds are computed with the same formula a rebuild would use;
-* whenever the pair set would change (a constraint appears or vanishes),
-  :meth:`~ScheduleProblem.rebase_timing` refuses and the caller falls back
-  to :meth:`~ScheduleProblem.rebuild`, which reproduces the from-scratch
-  construction exactly.
+A rebuild is cheap because no step creates a per-row Python object: the
+timing rows (paper Eq. 2) come from one vectorised pass over
+``np.nonzero(matrix > budget)`` (:func:`timing_rows`), the system stores
+them as an integer array, and :func:`assemble_lp` turns that array into
+the LP's COO triplets directly.
 
 The functions :func:`register_weights`, :func:`users_map`,
 :func:`add_dependency_constraints` and :func:`add_timing_constraints` live
@@ -33,7 +24,6 @@ the solver layer can depend on them without an import cycle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -42,7 +32,7 @@ from scipy import sparse
 
 from repro.ir.graph import DataflowGraph
 from repro.ir.ops import OpKind
-from repro.sdc.constraints import ConstraintSystem
+from repro.sdc.constraints import BOUND_COL, U_COL, V_COL, ConstraintSystem
 from repro.sdc.delays import NOT_CONNECTED
 
 
@@ -68,15 +58,37 @@ def users_map(graph: DataflowGraph) -> dict[int, list[int]]:
 
 def add_dependency_constraints(system: ConstraintSystem, graph: DataflowGraph) -> None:
     """Add producer-before-consumer constraints for every dataflow edge."""
+    producers: list[int] = []
+    consumers: list[int] = []
     for node in graph.nodes():
         system.add_variable(node.node_id)
         for operand in set(node.operands):
-            system.add_dependency(operand, node.node_id)
+            producers.append(operand)
+            consumers.append(node.node_id)
+    system.extend(producers, consumers, np.zeros(len(producers)),
+                  kind="dependency")
 
 
-def timing_bound_for(delay: float, clock_period_ps: float) -> int:
-    """The difference-constraint bound Eq. 2 derives from a pairwise delay."""
-    return -(math.ceil(delay / clock_period_ps) - 1)
+def timing_rows(matrix: np.ndarray, index_of: Mapping[int, int],
+                clock_period_ps: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Eq. 2 rows ``s_u - s_v <= -(ceil(D / T) - 1)`` of a delay matrix.
+
+    One vectorised pass over ``np.nonzero(matrix > clock_period_ps)`` in
+    row-major order.  The diagonal is skipped (a single operation cannot
+    be split across cycles; an over-long operation is a clock-period
+    selection problem, not a schedulable constraint), as are
+    ``NOT_CONNECTED`` entries and pairs needing no stage boundary.
+
+    Returns:
+        ``(u, v, bound)`` node-id and bound arrays, aligned.
+    """
+    order = np.array(sorted(index_of, key=index_of.get), dtype=np.int64)
+    rows, cols = np.nonzero(matrix > clock_period_ps)
+    delays = matrix[rows, cols]
+    min_distance = np.ceil(delays / clock_period_ps).astype(np.int64) - 1
+    keep = (rows != cols) & (delays != NOT_CONNECTED) & (min_distance > 0)
+    return order[rows[keep]], order[cols[keep]], -min_distance[keep]
 
 
 def add_timing_constraints(system: ConstraintSystem, matrix: np.ndarray,
@@ -87,24 +99,8 @@ def add_timing_constraints(system: ConstraintSystem, matrix: np.ndarray,
     Returns:
         The number of constraints added.
     """
-    order = sorted(index_of, key=index_of.get)
-    added = 0
-    rows, cols = np.nonzero(matrix > clock_period_ps)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        if row == col:
-            # A single operation cannot be split across cycles; an
-            # over-long operation is a clock-period selection problem,
-            # not a schedulable constraint.
-            continue
-        delay = matrix[row, col]
-        if delay == NOT_CONNECTED:
-            continue
-        min_distance = -timing_bound_for(delay, clock_period_ps)
-        if min_distance <= 0:
-            continue
-        if system.add_timing(order[row], order[col], min_distance):
-            added += 1
-    return added
+    return system.extend(*timing_rows(matrix, index_of, clock_period_ps),
+                         kind="timing")
 
 
 def add_loop_constraints(system: ConstraintSystem, graph: DataflowGraph,
@@ -119,11 +115,11 @@ def add_loop_constraints(system: ConstraintSystem, graph: DataflowGraph,
     Returns:
         The number of constraints added.
     """
-    added = 0
-    for edge in graph.back_edges():
-        if system.add_loop(edge.src, edge.phi, edge.distance, ii):
-            added += 1
-    return added
+    edges = graph.back_edges()
+    return system.extend([edge.src for edge in edges],
+                         [edge.phi for edge in edges],
+                         [ii * edge.distance - 1 for edge in edges],
+                         kind="loop")
 
 
 def build_system(graph: DataflowGraph, matrix: np.ndarray,
@@ -132,9 +128,7 @@ def build_system(graph: DataflowGraph, matrix: np.ndarray,
     """Build the full constraint system of one graph from a delay matrix.
 
     The single construction routine shared by the baseline scheduler and
-    every :class:`ScheduleProblem` rebuild -- the byte-parity guarantee of
-    the clock-period rebase relies on there being exactly one way to
-    enumerate the constraints.  Constraint order is canonical:
+    every :class:`ScheduleProblem` build.  Constraint order is canonical:
     dependencies, source pins, timing pairs (row-major), then loop
     back-edges (by phi id).
     """
@@ -149,44 +143,20 @@ def build_system(graph: DataflowGraph, matrix: np.ndarray,
     return system
 
 
-@dataclass(frozen=True)
-class TimingPack:
-    """The timing pairs of one constraint system, packed into arrays.
-
-    Everything here is immutable once built (the *set* of timing pairs only
-    changes on a full rebuild), so clones share one pack; the current bound
-    of each pair lives in the LP's right-hand side, not in the pack.
-
-    Attributes:
-        rows: matrix row index of every pair, in constraint (row-major) order.
-        cols: matrix column index of every pair, aligned with ``rows``.
-        node_u: node id of every pair's source, aligned with ``rows``.
-        node_v: node id of every pair's sink, aligned with ``rows``.
-        lp_rows: stable constraint-row index of every pair's bound.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    node_u: np.ndarray
-    node_v: np.ndarray
-    lp_rows: np.ndarray
-
-
 @dataclass
 class AssembledLp:
     """The register-minimisation LP of one constraint system, fully assembled.
 
     Rows ``0 .. num_constraint_rows - 1`` of ``a_ub``/``b_ub`` correspond
-    one-to-one (and in order) to the system's difference constraints, so a
-    constraint's stable row identity doubles as its right-hand-side index;
-    the lifetime-linking rows follow.
+    one-to-one (and in order) to the system's difference constraints; the
+    lifetime-linking rows follow.
 
     Attributes:
         var_index: schedule variable (node id) -> LP column.
         lifetime_index: lifetime variable (node id) -> LP column.
         num_vars: total LP columns.
         a_ub: sparse ``A_ub`` matrix (``None`` when there are no rows).
-        b_ub: dense right-hand side; patched in place by rebases.
+        b_ub: dense right-hand side.
         objective: dense objective vector.
         bounds: per-column ``(lower, upper)`` bounds.
         num_constraint_rows: rows occupied by difference constraints.
@@ -209,9 +179,11 @@ def assemble_lp(system: ConstraintSystem,
     """Assemble the register-lifetime-minimising LP for a constraint system.
 
     This is the single assembly routine shared by every solve path (one-shot
-    :func:`~repro.sdc.solver.solve_lp`, the ISDC re-solve and the DSE warm
-    path's cached LP), which is what makes cached-and-patched structures
-    byte-identical to rebuilt ones.
+    :func:`~repro.sdc.solver.solve_lp`, the ISDC re-solve and
+    :meth:`ScheduleProblem.lp`).  Each difference-constraint row becomes
+    the COO entries ``(+1 at u, -1 at v)`` in one vectorised pass over the
+    system's row array; the lifetime-linking rows follow, one per
+    (value, user) edge.
     """
     register_weights = register_weights or {}
     users = users or {}
@@ -225,30 +197,28 @@ def assemble_lp(system: ConstraintSystem,
                       for i, node_id in enumerate(lifetime_nodes)}
     num_vars = len(variables) + len(lifetime_nodes)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    bounds_rhs: list[float] = []
-
-    def add_row(entries: list[tuple[int, float]], rhs: float) -> None:
-        row = len(bounds_rhs)
-        for col, coeff in entries:
-            rows.append(row)
-            cols.append(col)
-            data.append(coeff)
-        bounds_rhs.append(rhs)
-
-    for constraint in system:
-        add_row([(var_index[constraint.u], 1.0), (var_index[constraint.v], -1.0)],
-                float(constraint.bound))
-    num_constraint_rows = len(bounds_rhs)
-
+    constraint_rows = system.rows
+    num_constraint_rows = len(constraint_rows)
+    columns = np.searchsorted(np.array(variables, dtype=np.int64),
+                              constraint_rows[:, [U_COL, V_COL]])
+    lifetime_cols: list[int] = []
     for node_id in lifetime_nodes:
         for user in set(users[node_id]):
-            if user not in var_index:
-                continue
-            add_row([(var_index[user], 1.0), (var_index[node_id], -1.0),
-                     (lifetime_index[node_id], -1.0)], 0.0)
+            if user in var_index:
+                lifetime_cols += [var_index[user], var_index[node_id],
+                                  lifetime_index[node_id]]
+    num_lifetime_rows = len(lifetime_cols) // 3
+    num_rows = num_constraint_rows + num_lifetime_rows
+
+    rows = np.concatenate((
+        np.repeat(np.arange(num_constraint_rows), 2),
+        np.repeat(np.arange(num_constraint_rows, num_rows), 3)))
+    cols = np.concatenate((columns.ravel(),
+                           np.array(lifetime_cols, dtype=np.int64)))
+    data = np.concatenate((np.tile([1.0, -1.0], num_constraint_rows),
+                           np.tile([1.0, -1.0, -1.0], num_lifetime_rows)))
+    b_ub = np.concatenate((constraint_rows[:, BOUND_COL].astype(float),
+                           np.zeros(num_lifetime_rows)))
 
     objective = np.zeros(num_vars)
     for node_id in lifetime_nodes:
@@ -266,24 +236,24 @@ def assemble_lp(system: ConstraintSystem,
     variable_bounds.extend([(0.0, None)] * len(lifetime_nodes))
 
     a_ub = None
-    if bounds_rhs:
+    if num_rows:
         a_ub = sparse.coo_matrix((data, (rows, cols)),
-                                 shape=(len(bounds_rhs), num_vars)).tocsr()
+                                 shape=(num_rows, num_vars)).tocsr()
     return AssembledLp(var_index=var_index, lifetime_index=lifetime_index,
-                       num_vars=num_vars, a_ub=a_ub,
-                       b_ub=np.array(bounds_rhs), objective=objective,
-                       bounds=variable_bounds,
+                       num_vars=num_vars, a_ub=a_ub, b_ub=b_ub,
+                       objective=objective, bounds=variable_bounds,
                        num_constraint_rows=num_constraint_rows)
 
 
 class ScheduleProblem:
     """The persistent scheduling problem of one dataflow graph.
 
-    Built once per graph (typically by the baseline SDC schedule) and then
-    kept alive for the whole ISDC loop or DSE search: the register weights
-    and users map are computed exactly once, the constraint system persists
-    with stable row identities, and the assembled LP is cached and patched
-    in place by :meth:`rebase_timing` and :meth:`rebase_ii`.
+    Built once per graph (by the baseline SDC schedule, or once per design
+    by the DSE cache) and kept alive for the whole ISDC loop or DSE
+    search: the register weights and users map are computed exactly once,
+    while the constraint system and the LP are rebuilt cold whenever the
+    delay matrix, the budget or the II changes.  The assembled LP is
+    cached until the next rebuild.
 
     Attributes:
         graph: the scheduled dataflow graph.
@@ -296,8 +266,8 @@ class ScheduleProblem:
         register_weights: cached objective weights (computed once).
         users_map: cached consumer map (computed once).
         system: the live constraint system.
-        rebuilds: number of from-scratch system rebuilds performed.
-        bound_patches: number of timing bounds swapped in place.
+        rebuilds: number of from-scratch system rebuilds performed after
+            construction.
     """
 
     def __init__(self, graph: DataflowGraph, matrix: np.ndarray,
@@ -312,166 +282,39 @@ class ScheduleProblem:
         self.register_weights = register_weights(graph)
         self.users_map = users_map(graph)
         self.rebuilds = 0
-        self.bound_patches = 0
-        self.system = ConstraintSystem()
-        self._lp: AssembledLp | None = None
-        self._repair_adjacency: dict[int, list[int]] | None = None
-        self._timing_pack: TimingPack | None = None
         self._build_system(matrix, index_of)
-
-    # ------------------------------------------------------------ construction
 
     def _build_system(self, matrix: np.ndarray, index_of: Mapping[int, int]
                       ) -> None:
-        """(Re)build the constraint system from scratch, invalidating caches."""
+        """(Re)build the constraint system from scratch, dropping the LP."""
+        self._matrix = matrix
+        self._index_of = index_of
         self.system = build_system(self.graph, matrix, index_of,
                                    self.timing_budget_ps, self.pin_sources,
                                    ii=self.ii)
-        self._lp = None
-        self._repair_adjacency = None
-        self._timing_pack = None
+        self._lp: AssembledLp | None = None
 
     def rebuild(self, matrix: np.ndarray, index_of: Mapping[int, int]) -> None:
         """Rebuild everything from the current delay matrix."""
         self.rebuilds += 1
         self._build_system(matrix, index_of)
 
-    def clone(self) -> "ScheduleProblem":
-        """An independent copy sharing only the immutable per-graph state.
-
-        The constraint system and the cached LP are deep-copied (the LP's
-        right-hand side is the one array rebases patch in place;
-        everything else in :class:`AssembledLp` is never mutated and is
-        shared), so rebasing or patching the clone can never alias state
-        back into the donor -- the donor's solved schedule stays
-        byte-identical.  ``register_weights``, ``users_map`` and the cached
-        repair adjacency are immutable once computed and therefore shared.
-        Counters start at the donor's values (they describe cumulative work,
-        not identity).
-        """
-        duplicate = ScheduleProblem.__new__(ScheduleProblem)
-        duplicate.graph = self.graph
-        duplicate.timing_budget_ps = self.timing_budget_ps
-        duplicate.latency_weight = self.latency_weight
-        duplicate.pin_sources = self.pin_sources
-        duplicate.ii = self.ii
-        duplicate.register_weights = self.register_weights
-        duplicate.users_map = self.users_map
-        duplicate.rebuilds = self.rebuilds
-        duplicate.bound_patches = self.bound_patches
-        duplicate.system = self.system.clone()
-        duplicate._lp = None
-        if self._lp is not None:
-            lp = self._lp
-            duplicate._lp = AssembledLp(
-                var_index=lp.var_index, lifetime_index=lp.lifetime_index,
-                num_vars=lp.num_vars, a_ub=lp.a_ub, b_ub=lp.b_ub.copy(),
-                objective=lp.objective, bounds=lp.bounds,
-                num_constraint_rows=lp.num_constraint_rows)
-        duplicate._repair_adjacency = self._repair_adjacency
-        duplicate._timing_pack = self._timing_pack
-        return duplicate
-
-    # ---------------------------------------------------------------- rebases
-
     def rebase_timing(self, matrix: np.ndarray, index_of: Mapping[int, int],
-                      new_budget_ps: float) -> bool:
-        """Re-target the problem to a new combinational budget in place.
+                      new_budget_ps: float) -> None:
+        """Move the problem to a new combinational budget and rebuild it.
 
-        The clock-period DSE layer probes the *same* design (same graph,
-        same delay matrix) at many clock periods; between two periods only
-        the timing constraints move -- the set of constrained pairs
-        (``matrix > budget``) and each pair's ``ceil(delay / budget) - 1``
-        bound.  When the pair set is unchanged the whole re-target is a
-        bound patch: only pairs whose ceil bucket actually changed are
-        touched, through the
-        :meth:`~repro.sdc.constraints.ConstraintSystem.set_timing_bound`
-        row-identity machinery, so the cached LP survives with its
-        right-hand side patched in place.
-
-        Byte parity with a cold build at ``new_budget_ps`` holds because a
-        rebuild enumerates timing pairs as ``np.nonzero(matrix > budget)``
-        in row-major order: an unchanged pair set means an unchanged
-        constraint order, and patched bounds use the same
-        :func:`timing_bound_for` formula a rebuild would.
-
-        Args:
-            matrix: the design's delay matrix (unchanged across periods).
-            index_of: node id -> matrix row/column.
-            new_budget_ps: the new combinational budget (clock period minus
-                register overhead).
-
-        Returns:
-            True when the re-target was applied as an in-place bound patch
-            (including the no-op case of an identical budget).  False when
-            the pair set differs -- a timing constraint would appear or
-            vanish -- or the system's pairs do not match this matrix; the
-            problem is then left *unmodified* and the caller must
-            :meth:`rebuild` after updating :attr:`timing_budget_ps`.
+        The clock-period DSE probes one design's problem at many budgets;
+        each probe sets the budget and rebuilds the system cold.
         """
-        new_budget = float(new_budget_ps)
-        if new_budget == self.timing_budget_ps:
-            return True
-        mask = matrix > new_budget
-        np.fill_diagonal(mask, False)
-        pack = self.timing_pack(index_of)
-        nz_rows, nz_cols = np.nonzero(mask)
-        # The pair set (and its row-major order) must be exactly the one the
-        # system carries; np.nonzero enumerates row-major and the pack was
-        # built in the same order, so plain array equality checks both.
-        if len(nz_rows) != len(pack.rows) \
-                or not np.array_equal(nz_rows, pack.rows) \
-                or not np.array_equal(nz_cols, pack.cols):
-            return False
-        delays = matrix[pack.rows, pack.cols]
-        new_bounds = -(np.ceil(delays / new_budget).astype(np.int64) - 1)
-        current = np.array(
-            [self.system.constraint_at(row).bound
-             for row in pack.lp_rows.tolist()], dtype=np.int64) \
-            if self._lp is None \
-            else self._lp.b_ub[pack.lp_rows].astype(np.int64)
-        changed = np.nonzero(new_bounds != current)[0]
-        for position in changed.tolist():
-            self.system.set_timing_bound(int(pack.node_u[position]),
-                                         int(pack.node_v[position]),
-                                         int(new_bounds[position]))
-        if self._lp is not None and len(changed):
-            self._lp.b_ub[pack.lp_rows[changed]] = \
-                new_bounds[changed].astype(float)
-        self.bound_patches += int(len(changed))
-        self.timing_budget_ps = new_budget
-        return True
-
-    def retarget(self, matrix: np.ndarray, index_of: Mapping[int, int],
-                 new_budget_ps: float) -> bool:
-        """Move the problem to a new budget: bound patch, or full rebuild.
-
-        Returns:
-            True when :meth:`rebase_timing` patched in place, False when the
-            pair set changed and a full rebuild was performed instead (the
-            problem is valid for ``new_budget_ps`` either way).
-        """
-        if self.rebase_timing(matrix, index_of, new_budget_ps):
-            return True
         self.timing_budget_ps = float(new_budget_ps)
         self.rebuild(matrix, index_of)
-        return False
 
-    def rebase_ii(self, new_ii: int) -> bool:
-        """Re-target every loop constraint to a new initiation interval.
+    def rebase_ii(self, new_ii: int) -> None:
+        """Move the problem to a new initiation interval and rebuild it.
 
-        The minimum-II search probes the *same* problem at many candidate
-        IIs; between two IIs only the loop-constraint bounds move
-        (``II * distance - 1``) -- the constrained pair set is exactly the
-        graph's back-edges at every II, so unlike :meth:`rebase_timing`
-        this rebase can never fail and never forces a rebuild.  Bounds are
-        swapped through the stable-row machinery
-        (:meth:`~repro.sdc.constraints.ConstraintSystem.set_loop_bound`)
-        and the cached LP's right-hand side is patched in place, making an
-        II probe as cheap as a warm clock-period probe.
-
-        Returns:
-            True when any bound actually changed (False for a no-op II).
+        The minimum-II search probes one problem at many candidate IIs;
+        each new II rebuilds the system cold from the delay matrix of the
+        last build (the same II is a no-op).
 
         Raises:
             ValueError: if ``new_ii`` is not positive.
@@ -479,62 +322,17 @@ class ScheduleProblem:
         new_ii = int(new_ii)
         if new_ii < 1:
             raise ValueError(f"initiation interval must be >= 1, got {new_ii}")
-        if new_ii == self.ii:
-            return False
-        changed = 0
-        for src, phi, distance, row in self.system.loop_entries():
-            if self.system.set_loop_bound(src, phi, new_ii):
-                if self._lp is not None:
-                    self._lp.b_ub[row] = float(new_ii * distance - 1)
-                changed += 1
-        self.ii = new_ii
-        self.bound_patches += changed
-        return changed > 0
-
-    # ----------------------------------------------------------------- caches
-
-    def timing_pack(self, index_of: Mapping[int, int]) -> TimingPack:
-        """The packed timing-pair arrays (cached; shared by clones).
-
-        The set of timing pairs only changes on a rebuild, so the pack is
-        immutable for the problem's lifetime and cheap to share; only each
-        pair's *bound* moves between rebases, and that lives in the LP's
-        right-hand side.
-        """
-        if self._timing_pack is None:
-            entries = self.system.timing_entries()
-            self._timing_pack = TimingPack(
-                rows=np.array([index_of[u] for u, _, _ in entries],
-                              dtype=np.intp),
-                cols=np.array([index_of[v] for _, v, _ in entries],
-                              dtype=np.intp),
-                node_u=np.array([u for u, _, _ in entries], dtype=np.int64),
-                node_v=np.array([v for _, v, _ in entries], dtype=np.int64),
-                lp_rows=np.array([row for _, _, row in entries],
-                                 dtype=np.intp))
-        return self._timing_pack
+        if new_ii != self.ii:
+            self.ii = new_ii
+            self.rebuild(self._matrix, self._index_of)
 
     def lp(self) -> AssembledLp:
-        """The assembled LP (cached; bounds are patched in place by rebases)."""
+        """The assembled LP (cached until the next rebuild)."""
         if self._lp is None:
             self._lp = assemble_lp(self.system, self.register_weights,
                                    self.users_map, self.latency_weight)
         return self._lp
 
-    def repair_adjacency(self) -> dict[int, list[int]]:
-        """Constraint row indices grouped by source variable (cached).
-
-        Rows are stable across rebases, so the adjacency survives bound
-        patches; it is invalidated only by a rebuild.
-        """
-        if self._repair_adjacency is None:
-            adjacency: dict[int, list[int]] = {}
-            for row, constraint in enumerate(self.system):
-                adjacency.setdefault(constraint.u, []).append(row)
-            self._repair_adjacency = adjacency
-        return self._repair_adjacency
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ScheduleProblem({self.graph.name!r}, "
-                f"{len(self.system)} constraints, "
-                f"{self.system.num_timing_pairs()} timing pairs)")
+                f"{len(self.system)} constraints)")

@@ -160,7 +160,7 @@ class SdcScheduler:
                                   pin_sources=self.pin_sources)
         if graph.has_back_edges:
             # Pipelined loop: resolve the minimum feasible II by probing the
-            # persistent problem (in-place rebase_ii + warm re-solves).
+            # persistent problem (rebase_ii rebuilds + re-solves).
             from repro.sdc.loops import min_feasible_ii
 
             ii, solution = min_feasible_ii(problem)

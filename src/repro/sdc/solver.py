@@ -13,9 +13,12 @@ Four solution paths are provided:
 * :func:`resolve` -- the ISDC loop's per-iteration re-solve: rebuild the
   persistent :class:`~repro.sdc.problem.ScheduleProblem` from the updated
   delay matrix and run :func:`solve_lp` on it.
-* :func:`solve_problem` -- the DSE warm path: solve a problem's cached LP
-  (right-hand side possibly patched by a clock-period rebase) and repair
-  the rounding over the cached row adjacency.
+* :func:`solve_problem` -- the DSE solve: run HiGHS on a problem's
+  (cached) assembled LP.
+
+Every LP path rounds the solution and checks it against the whole system
+in one vectorised pass; the fixpoint repair only runs when that check
+finds a violated row.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.sdc.constraints import ConstraintSystem
+from repro.sdc.constraints import BOUND_COL, U_COL, V_COL, ConstraintSystem
 from repro.sdc.problem import AssembledLp, ScheduleProblem, assemble_lp
 
 
@@ -56,29 +59,13 @@ def _propagate_lower_bounds(system: ConstraintSystem,
     by_source: dict[int, list] = defaultdict(list)
     for constraint in system:
         by_source[constraint.u].append(constraint)
-    return _relax_to_fixpoint(system, dict(start), by_source.__getitem__,
-                              deque(start))
-
-
-def _relax_to_fixpoint(system: ConstraintSystem, values: dict[int, int],
-                       outgoing, queue: deque[int]) -> dict[int, int]:
-    """Shared relaxation core of the cold and warm-started propagation.
-
-    Args:
-        system: the constraint system (pins and variable count).
-        values: starting values, raised in place.
-        outgoing: callable mapping a variable to its outgoing constraints.
-        queue: initial worklist of variables to relax from.
-
-    The least fixpoint above the starting values is unique (the feasible
-    region of difference constraints is closed under pointwise minimum), so
-    any seeding that covers every violated constraint yields the same result.
-    """
+    values = dict(start)
+    queue = deque(start)
     max_chain = len(system.variables)
     chain: dict[int, int] = defaultdict(int)
     while queue:
         u = queue.popleft()
-        for constraint in outgoing(u):
+        for constraint in by_source[u]:
             required = values[u] - constraint.bound
             if values[constraint.v] < required:
                 if constraint.v in system.pinned:
@@ -97,33 +84,6 @@ def _relax_to_fixpoint(system: ConstraintSystem, values: dict[int, int],
                         f"{constraint.bound}")
                 queue.append(constraint.v)
     return values
-
-
-def _repair_with_adjacency(system: ConstraintSystem, start: dict[int, int],
-                           adjacency: dict[int, list[int]]) -> dict[int, int]:
-    """Warm-started fixpoint repair over cached row adjacency.
-
-    Instead of seeding the worklist with every variable, one sweep finds the
-    constraints the starting values violate and seeds only their sources --
-    when the LP rounding is already feasible (the common case), the repair
-    is a single O(m) check with zero relaxations.  The fixpoint reached is identical to the cold
-    propagation's (see :func:`_relax_to_fixpoint`).
-    """
-    violated_sources: list[int] = []
-    seen: set[int] = set()
-    for constraint in system:
-        if start[constraint.u] - constraint.bound > start[constraint.v]:
-            if constraint.u not in seen:
-                seen.add(constraint.u)
-                violated_sources.append(constraint.u)
-    if not violated_sources:
-        return start
-
-    def outgoing(u: int):
-        return [system.constraint_at(row) for row in adjacency.get(u, ())]
-
-    return _relax_to_fixpoint(system, dict(start), outgoing,
-                              deque(violated_sources))
 
 
 def solve_asap(system: ConstraintSystem) -> dict[int, int]:
@@ -147,12 +107,12 @@ def solve_alap(system: ConstraintSystem, latency: int) -> dict[int, int]:
     # constraint s_u - s_v <= b into t_v - t_u <= b, and maximising s into
     # minimising t.
     mirrored = ConstraintSystem()
-    for variable in system.variables:
-        mirrored.add_variable(variable)
+    mirrored.variables.update(system.variables)
     for node_id, pin in system.pinned.items():
         mirrored.pin(node_id, latency - pin)
-    for constraint in system:
-        mirrored.add(constraint.v, constraint.u, constraint.bound, constraint.kind)
+    rows = system.rows
+    mirrored.extend(rows[:, V_COL], rows[:, U_COL], rows[:, BOUND_COL],
+                    kind="user")
     mirrored_solution = solve_asap(mirrored)
     solution = {v: latency - t for v, t in mirrored_solution.items()}
     if any(value < 0 for value in solution.values()):
@@ -172,14 +132,29 @@ def _solve_assembled(lp: AssembledLp) -> np.ndarray:
     return result.x
 
 
-def _round_solution(system: ConstraintSystem, lp: AssembledLp,
-                    x: np.ndarray) -> dict[int, int]:
-    """Round the LP solution to integers and re-impose the pins."""
+def _solve_and_repair(system: ConstraintSystem,
+                      lp: AssembledLp) -> dict[int, int]:
+    """Solve an assembled LP, round it, and repair the rounding if needed.
+
+    The rounded schedule is returned at once when a vectorised check finds
+    it feasible (the common case: the LP optimum is integral); otherwise
+    it is raised to the least fixpoint above it, which leaves a feasible
+    rounding unchanged anyway.
+
+    Raises:
+        SdcInfeasibleError: if the LP (or the rounding repair) is infeasible.
+    """
+    x = _solve_assembled(lp)
     rounded = {node_id: int(round(x[index]))
                for node_id, index in lp.var_index.items()}
     for node_id, pin in system.pinned.items():
         rounded[node_id] = pin
-    return rounded
+    if system.is_feasible_schedule(rounded):
+        return rounded
+    repaired = _propagate_lower_bounds(system, rounded)
+    if not system.is_feasible_schedule(repaired):
+        raise SdcInfeasibleError("rounded LP solution could not be repaired")
+    return repaired
 
 
 def solve_lp(system: ConstraintSystem,
@@ -207,35 +182,21 @@ def solve_lp(system: ConstraintSystem,
     Raises:
         SdcInfeasibleError: if the LP (or the rounding repair) is infeasible.
     """
-    lp = assemble_lp(system, register_weights, users, latency_weight)
-    rounded = _round_solution(system, lp, _solve_assembled(lp))
-    repaired = _propagate_lower_bounds(system, rounded)
-    if not system.is_feasible_schedule(repaired):
-        raise SdcInfeasibleError("rounded LP solution could not be repaired")
-    return repaired
+    return _solve_and_repair(
+        system, assemble_lp(system, register_weights, users, latency_weight))
 
 
 def solve_problem(problem: ScheduleProblem) -> dict[int, int]:
     """Solve a persistent problem on its cached (or freshly assembled) LP.
 
-    This is the DSE warm-start engine's solve path: the problem's cached LP
-    (bounds possibly patched in place by a clock-period rebase) is solved
-    with HiGHS, the integral rounding is repaired over the cached row
-    adjacency, and the result is checked feasible.  Because
-    :func:`~repro.sdc.problem.assemble_lp` is deterministic in the system,
-    a problem whose patched arrays equal a freshly built problem's arrays
-    produces a byte-identical schedule.
+    Because :func:`~repro.sdc.problem.assemble_lp` is deterministic in the
+    system, two problems with equal constraint rows produce byte-identical
+    schedules.
 
     Raises:
         SdcInfeasibleError: if the LP (or the rounding repair) is infeasible.
     """
-    lp = problem.lp()
-    rounded = _round_solution(problem.system, lp, _solve_assembled(lp))
-    repaired = _repair_with_adjacency(problem.system, rounded,
-                                      problem.repair_adjacency())
-    if not problem.system.is_feasible_schedule(repaired):
-        raise SdcInfeasibleError("rounded LP solution could not be repaired")
-    return repaired
+    return _solve_and_repair(problem.system, problem.lp())
 
 
 def resolve(problem: ScheduleProblem, matrix: np.ndarray,

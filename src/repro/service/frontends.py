@@ -143,6 +143,10 @@ async def _handle_http(service: SchedulingService, request_line: bytes,
                                       "/ping or /stats")
         else:
             response = await service.handle({"kind": kind})
+    elif method == "POST" and content_length < 0:
+        response = error_response(protocol.ERROR_BAD_REQUEST,
+                                  f"Content-Length {content_length} is "
+                                  "negative")
     elif method == "POST":
         body = await reader.readexactly(content_length) if content_length else b""
         try:

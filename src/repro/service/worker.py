@@ -12,7 +12,7 @@ probes evaluated for *other* requests of the same design.
 Every result builder returns only deterministic fields: warm-start
 provenance and wall-clock never enter a result payload, so the served
 answer is byte-identical to the offline reference regardless of which
-worker (or which donor problem) computed it:
+worker (or which reused plateau) computed it:
 
 * ``schedule`` results equal :meth:`ProblemCache.cold_probe` payloads;
 * ``min-clock`` / ``min-ii`` results equal the per-design entries of the

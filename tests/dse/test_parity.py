@@ -1,7 +1,7 @@
 """Warm-vs-cold byte parity and determinism of the DSE layer.
 
 The warm-start engine's core contract: a probe served by any warm path
-(memo, clone + rebase, plateau solution reuse) returns *exactly* the
+(memo, plateau solution reuse) returns *exactly* the
 schedule a from-scratch cold solve returns -- same stages dict, same stage
 count, same register count -- at every probed period, in any probe order.
 A hypothesis sweep drives randomized clock orders over seeded generated
@@ -73,7 +73,7 @@ def test_warm_equals_cold_across_real_design_search():
         lambda batch: [cache.probe("rrot", period) for period in batch],
         width=3)
     assert optimizer.converged
-    warm_served = [p for p in probes if p.warm_patched or p.memo_hit]
+    warm_served = [p for p in probes if p.solution_reuse or p.memo_hit]
     assert warm_served, "search too short to exercise any warm path"
     for probe in probes:
         assert_probe_parity(probe, cache.cold_probe("rrot",

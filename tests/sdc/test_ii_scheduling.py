@@ -104,7 +104,7 @@ class TestMinFeasibleIi:
             min_feasible_ii(problem, max_ii=0)
 
     def test_warm_rebase_matches_cold_build(self, model):
-        """rebase_ii patching equals building the problem at that II."""
+        """rebase_ii equals building the problem at that II."""
         graph = _mul_chain_loop(3)
         scheduler = SdcScheduler(model, clock_period_ps=2500.0)
         delays = node_delays(graph, model)
@@ -123,12 +123,15 @@ class TestMinFeasibleIi:
                 continue
             assert warm_stages == solve_problem(cold)
 
-    def test_rebase_ii_counts_bound_patches(self, model):
+    def test_rebase_ii_rebuilds_the_loop_row(self, model):
         problem = _problem(_mul_chain_loop(2), model, 2500.0)
-        before = problem.bound_patches
-        assert problem.rebase_ii(4) is True
-        assert problem.bound_patches == before + 1  # one back-edge
-        assert problem.rebase_ii(4) is False  # no-op at the same II
+        problem.rebase_ii(4)
+        assert problem.rebuilds == 1
+        loop_rows = problem.system.rows_of("loop")
+        assert len(loop_rows) == 1  # one back-edge
+        assert loop_rows[0, 2] == 4 * 1 - 1
+        problem.rebase_ii(4)  # no-op at the same II
+        assert problem.rebuilds == 1
 
 
 class TestSchedulerAutoIi:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.designs.arith import build_rrot
 from repro.sdc.constraints import ConstraintSystem
+from repro.sdc.solver import solve_problem
 from repro.sdc.delays import critical_path_matrix, node_delays
 from repro.sdc.problem import ScheduleProblem, assemble_lp
 from repro.sdc.scheduler import SdcScheduler
@@ -25,35 +26,6 @@ def rrot_setup():
     problem = ScheduleProblem(graph, matrix, index_of,
                               scheduler.timing_budget_ps)
     return graph, matrix, index_of, problem, scheduler
-
-
-class TestConstraintRowIdentity:
-    def test_timing_rows_recorded(self):
-        system = ConstraintSystem()
-        system.add_dependency(0, 1)
-        system.add_timing(0, 2, 3)
-        assert system.timing_entries() == [(0, 2, 1)]
-        assert system.constraint_at(1).bound == -3
-        assert system.num_timing_pairs() == 1
-
-    def test_set_timing_bound_keeps_row(self):
-        system = ConstraintSystem()
-        system.add_timing(0, 1, 3)
-        system.add_timing(1, 2, 2)
-        entries = system.timing_entries()
-        row = entries[0][2]
-        assert system.set_timing_bound(0, 1, -2)
-        assert system.timing_entries() == entries
-        assert system.constraint_at(row).bound == -2
-        assert system.constraint_at(row).kind == "timing"
-        assert system.constraint_at(entries[1][2]).bound == -2  # untouched
-        # Unchanged bound is a no-op.
-        assert not system.set_timing_bound(0, 1, -2)
-
-    def test_set_timing_bound_missing_pair_raises(self):
-        system = ConstraintSystem()
-        with pytest.raises(KeyError):
-            system.set_timing_bound(3, 4, -1)
 
 
 class TestScheduleProblem:
@@ -88,14 +60,14 @@ class TestScheduleProblem:
 
     def test_rebuild_drops_a_vanishing_constraint(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
-        timing_pairs = problem.system.num_timing_pairs()
+        timing_pairs = len(problem.system.rows_of("timing"))
         pair = next((c.u, c.v) for c in problem.system if c.kind == "timing")
         matrix[index_of[pair[0]], index_of[pair[1]]] = \
             scheduler.timing_budget_ps / 2
         problem.rebuild(matrix, index_of)
         assert pair not in {(c.u, c.v) for c in problem.system
                             if c.kind == "timing"}
-        assert problem.system.num_timing_pairs() == timing_pairs - 1
+        assert len(problem.system.rows_of("timing")) == timing_pairs - 1
 
     def test_rebuild_ignores_the_diagonal(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
@@ -119,6 +91,44 @@ class TestScheduleProblem:
         problem.rebuild(matrix, index_of)
         assert problem.rebuilds == 1
         assert problem.lp() is not lp_before
+
+
+class TestRebase:
+    """Rebases set the field and rebuild: the result is a fresh build's."""
+
+    def _assert_same_problem(self, problem, fresh):
+        np.testing.assert_array_equal(problem.system.rows, fresh.system.rows)
+        assert problem.system.pinned == fresh.system.pinned
+        lp, fresh_lp = problem.lp(), fresh.lp()
+        np.testing.assert_array_equal(lp.a_ub.toarray(),
+                                      fresh_lp.a_ub.toarray())
+        np.testing.assert_array_equal(lp.b_ub, fresh_lp.b_ub)
+        np.testing.assert_array_equal(lp.objective, fresh_lp.objective)
+        assert lp.bounds == fresh_lp.bounds
+
+    @pytest.mark.parametrize("scale", [0.45, 0.8, 1.3, 3.0])
+    def test_rebase_timing_equals_a_fresh_build(self, rrot_setup, scale):
+        graph, matrix, index_of, problem, scheduler = rrot_setup
+        solve_problem(problem)  # a cached LP must not survive the rebase
+        target = scheduler.timing_budget_ps * scale
+        problem.rebase_timing(matrix, index_of, target)
+        assert problem.timing_budget_ps == target
+        assert problem.rebuilds == 1
+        fresh = ScheduleProblem(graph, matrix, index_of, target)
+        self._assert_same_problem(problem, fresh)
+        assert solve_problem(problem) == solve_problem(fresh)
+
+    def test_rebase_ii_rebuilds_from_the_last_matrix(self, rrot_setup):
+        graph, matrix, index_of, problem, scheduler = rrot_setup
+        problem.rebase_ii(3)
+        assert problem.ii == 3 and problem.rebuilds == 1
+        problem.rebase_ii(3)  # the same II is a no-op
+        assert problem.rebuilds == 1
+        fresh = ScheduleProblem(graph, matrix, index_of,
+                                scheduler.timing_budget_ps, ii=3)
+        self._assert_same_problem(problem, fresh)
+        with pytest.raises(ValueError):
+            problem.rebase_ii(0)
 
 
 class TestResolve:

@@ -157,6 +157,26 @@ def test_tcp_line_and_http_views_share_one_cache(tcp_daemon):
     assert daemon.returncode == 0, err
 
 
+def test_http_negative_content_length_gets_a_typed_400(tcp_daemon):
+    daemon, host, port = tcp_daemon
+
+    head = (f"POST / HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: -5\r\n\r\n").encode()
+    status, refused = _http_exchange(host, port, head, b"{}")
+    assert status == 400 and refused["error"] == "bad-request"
+    assert "Content-Length -5" in refused["message"]
+
+    # The connection was answered, not dropped, and the daemon serves on.
+    status, pong = _http_exchange(
+        host, port, f"GET /ping HTTP/1.1\r\nHost: {host}\r\n\r\n".encode())
+    assert status == 200 and pong["ok"] is True
+
+    _line_request(host, port, {"kind": "shutdown"})
+    out, err = daemon.communicate(timeout=60)
+    assert daemon.returncode == 0, err
+    assert "Unhandled exception" not in err
+
+
 def test_tcp_client_disconnect_leaves_the_daemon_serving(tcp_daemon):
     daemon, host, port = tcp_daemon
 
