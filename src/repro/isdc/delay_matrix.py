@@ -7,13 +7,9 @@ subgraph lowers the entries of all node pairs the subgraph covers -- but only
 when the measured delay is smaller than the current estimate, so each
 evaluation is exploited maximally without ever making estimates worse.
 
-Storage stays dense (the SDC solver slices whole rows/columns), but the
-initialisation routes through the kernel's dense/sparse dispatcher, and when
-the sparse sweep built the matrix its connectivity pattern -- which is exact
-reachability, and *static* across the whole ISDC loop because feedback only
-ever lowers connected entries -- is kept on the side.  The Algorithm 2
-re-propagation (:mod:`repro.isdc.reformulate`) then sweeps just the
-connected pairs instead of whole ``n``-wide rows.
+Storage is a dense ``(n, n)`` array: the SDC solver slices whole
+rows/columns, and the initialisation is the kernel's one all-pairs sweep
+(:func:`repro.sdc.delays.critical_path_matrix`).
 """
 
 from __future__ import annotations
@@ -23,16 +19,16 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.ir.graph import DataflowGraph
-from repro.kernel import GraphView, SparseMatrix, auto_critical_path_matrix
-from repro.sdc.delays import NOT_CONNECTED
+from repro.kernel import GraphView
+from repro.sdc.delays import NOT_CONNECTED, critical_path_matrix
 
 
 class DelayMatrix:
     """Estimated critical-path delay for every node pair of a graph.
 
     The matrix itself stays a plain numpy array, but its row/column order,
-    node indexing and the connectivity used by the re-propagation pass all
-    come from the graph's shared kernel :class:`~repro.kernel.GraphView`
+    node indexing and the edges the re-propagation pass sweeps all come
+    from the graph's shared kernel :class:`~repro.kernel.GraphView`
     (:attr:`view`), so every ISDC layer agrees on one substrate.
 
     Attributes:
@@ -48,9 +44,6 @@ class DelayMatrix:
         self.matrix = matrix
         self.index_of = index_of
         self._order: list[int] | None = None  # derived lazily, shared by copies
-        self._pattern: SparseMatrix | None = None
-        self._pattern_t: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._pattern_view: GraphView | None = None
 
     @property
     def view(self) -> GraphView:
@@ -62,35 +55,19 @@ class DelayMatrix:
     @classmethod
     def from_graph(cls, graph: DataflowGraph, delays: Mapping[int, float]
                    ) -> "DelayMatrix":
-        """Initialise from naive estimates (Alg. 1 lines 1--9).
-
-        Uses the kernel's dense/sparse dispatcher; when the sparse sweep
-        produced the matrix, its pattern is retained for the sparse
-        Algorithm 2 sweeps.
-        """
-        view = GraphView.from_dataflow(graph)
-        dense, sparse = auto_critical_path_matrix(view,
-                                                  view.delay_vector(delays))
-        instance = cls(graph, dense, dict(view.index_of))
-        instance._order = view.order_ids()
-        if sparse is not None:
-            instance._pattern = sparse
-            instance._pattern_view = view
-        return instance
+        """Initialise from naive estimates (Alg. 1 lines 1--9)."""
+        matrix, index_of = critical_path_matrix(graph, delays)
+        return cls(graph, matrix, index_of)
 
     def copy(self) -> "DelayMatrix":
         """Deep copy (the ISDC loop keeps the running matrix across iterations).
 
-        Only the matrix itself is duplicated; the derived node order and the
-        immutable connectivity pattern are shared with the source, so a copy
-        per ISDC iteration stays cheap at 100k nodes.
+        The matrix and the index map are duplicated; the derived node order
+        is immutable and shared with the source.
         """
         duplicate = DelayMatrix(self.graph, self.matrix.copy(),
                                 dict(self.index_of))
         duplicate._order = self._order
-        duplicate._pattern = self._pattern
-        duplicate._pattern_t = self._pattern_t
-        duplicate._pattern_view = self._pattern_view
         return duplicate
 
     # ----------------------------------------------------------------- access
@@ -117,52 +94,6 @@ class DelayMatrix:
         """Isolated delay of one node (the matrix diagonal)."""
         index = self.index_of[node_id]
         return float(self.matrix[index, index])
-
-    def set(self, u: int, v: int, delay: float) -> None:
-        """Overwrite one entry (used by the reformulation pass).
-
-        Connecting or disconnecting a pair this way invalidates the cached
-        connectivity pattern, sending re-propagation back to the dense
-        sweeps (plain lowering of a connected entry keeps it).
-        """
-        row, col = self.index_of[u], self.index_of[v]
-        if ((self.matrix[row, col] == NOT_CONNECTED)
-                != (delay == NOT_CONNECTED)):
-            self._pattern = None
-            self._pattern_t = None
-            self._pattern_view = None
-        self.matrix[row, col] = delay
-
-    # -------------------------------------------------- connectivity pattern
-
-    def connectivity_pattern(self) -> SparseMatrix | None:
-        """The static reachability pattern, when known exactly.
-
-        Row ``v`` of the returned :class:`~repro.kernel.SparseMatrix` lists
-        the dense indices of ``v``'s ancestors (diagonal included) -- exactly
-        the non-``NOT_CONNECTED`` entries of :attr:`matrix`, for the whole
-        life of the matrix, because feedback and re-propagation only lower
-        connected entries.  ``None`` when the matrix was built densely or
-        was edited out of pattern; callers then use the dense sweeps.
-        """
-        if self._pattern is None or self._pattern_view is not self.view:
-            return None
-        return self._pattern
-
-    def descendant_pattern(self) -> (
-            tuple[np.ndarray, np.ndarray, np.ndarray] | None):
-        """CSR arrays ``(indptr, indices, data)`` of the transposed pattern.
-
-        Row ``u`` lists the dense indices of ``u``'s descendants (diagonal
-        included).  Cached; ``None`` whenever :meth:`connectivity_pattern`
-        is.
-        """
-        pattern = self.connectivity_pattern()
-        if pattern is None:
-            return None
-        if self._pattern_t is None:
-            self._pattern_t = pattern.transpose_arrays()
-        return self._pattern_t
 
     # --------------------------------------------------------------- feedback
 

@@ -8,11 +8,12 @@ That is exactly the initialisation of the paper's delay matrix ``D[n][n]``
 subgraph delays.
 
 Both the matrix initialisation and the explicit path search delegate to the
-shared vectorized kernel (:mod:`repro.kernel`): the matrix is filled level by
-level with one gathered ``max``-reduction per level instead of a per-node
-Python loop, and path reconstruction uses the kernel's deterministic
-smallest-topological-position tie-break (equal-delay paths no longer depend
-on set iteration order, i.e. on ``PYTHONHASHSEED``).
+shared vectorized kernel (:mod:`repro.kernel`): the matrix is filled by the
+kernel's one dense sweep, level by level with one gathered ``max``-reduction
+per level instead of a per-node Python loop, and path reconstruction uses
+the kernel's deterministic smallest-topological-position tie-break
+(equal-delay paths no longer depend on set iteration order, i.e. on
+``PYTHONHASHSEED``).
 """
 
 from __future__ import annotations
@@ -27,12 +28,10 @@ from repro.kernel import (
     NOT_CONNECTED,
     GraphView,
     UNREACHED,
+    critical_path_matrix as _kernel_critical_path_matrix,
     longest_path_from,
     path_delay as _kernel_path_delay,
     reconstruct_path,
-)
-from repro.kernel import (
-    auto_critical_path_matrix as _auto_critical_path_matrix,
 )
 
 __all__ = [
@@ -66,11 +65,6 @@ def critical_path_matrix(graph: DataflowGraph, delays: Mapping[int, float]
     the diagonal holds individual node delays; unconnected pairs hold
     :data:`NOT_CONNECTED`.
 
-    Routed through the kernel's dense/sparse dispatcher: large, sparsely
-    connected graphs are swept over connected pairs only (see
-    :class:`~repro.kernel.KernelConfig` and the ``REPRO_KERNEL_*``
-    environment switches).  Both paths produce bit-identical matrices.
-
     Args:
         graph: the dataflow graph.
         delays: isolated delay of every node id.
@@ -80,8 +74,7 @@ def critical_path_matrix(graph: DataflowGraph, delays: Mapping[int, float]
         (the kernel's topological position).
     """
     view = GraphView.from_dataflow(graph)
-    matrix, _sparse = _auto_critical_path_matrix(view,
-                                                 view.delay_vector(delays))
+    matrix = _kernel_critical_path_matrix(view, view.delay_vector(delays))
     return matrix, dict(view.index_of)
 
 

@@ -1,11 +1,11 @@
 """Pure-Python reference implementations of the kernel primitives.
 
 These are the historical per-layer algorithms, kept verbatim (modulo
-deterministic iteration) as an executable specification: the parity tests in
-``tests/kernel/`` and the divergence gate of :mod:`repro.kernel.bench` run
-every kernel primitive against them across the Table-I suite and seeded
-``gen:`` designs.  They are deliberately duck-typed (plain mappings instead
-of Schedule/DelayMatrix objects) so this module never imports upward.
+deterministic iteration) as the test oracle of :mod:`repro.kernel`: the
+parity tests in ``tests/kernel/`` run every kernel primitive against them
+across the Table-I suite and seeded ``gen:`` designs.  They are deliberately
+duck-typed (plain mappings instead of Schedule/DelayMatrix objects) so the
+oracle depends on nothing but the kernel's ``NOT_CONNECTED`` sentinel.
 """
 
 from __future__ import annotations

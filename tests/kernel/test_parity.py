@@ -22,7 +22,7 @@ from repro.kernel import (
     reconstruct_path,
 )
 from repro.kernel import critical_path_matrix as kernel_matrix
-from repro.kernel.reference import (
+from tests.kernel.reference import (
     graph_adjacency,
     reference_critical_path_between,
     reference_critical_path_matrix,
@@ -34,7 +34,12 @@ from repro.kernel.reference import (
     reference_subgraph_longest_path,
     reference_topological_order,
 )
-from repro.sdc.delays import NOT_CONNECTED, critical_path_between, node_delays
+from repro.sdc.delays import (
+    NOT_CONNECTED,
+    critical_path_between,
+    critical_path_matrix,
+    node_delays,
+)
 from repro.tech.delay_model import OperatorModel
 
 _TABLE1_NAMES = [case.name for case in table1_suite()]
@@ -116,6 +121,30 @@ class TestGraphParity:
                 assert critical_path_between(graph, delays, source, sink) == \
                     expected
 
+
+
+#: Shapes past 512 nodes (every Table-I design is smaller): sparsely
+#: connected one-layer fan-in, a deep band and a wide multi-layer fan-in.
+_LARGE_PARAMS = [
+    GeneratorParams(seed=7, depth=10, width=56, fanout=1, num_inputs=16),
+    GeneratorParams(seed=3, depth=24, width=24),
+    GeneratorParams(seed=5, depth=12, width=48, fanout=4),
+]
+
+
+@pytest.mark.parametrize("params", _LARGE_PARAMS, ids=lambda p: p.name)
+def test_large_design_matrix_matches_reference(params):
+    """The SDC matrix entry point equals the per-node reference."""
+    graph = build_generated_design(params)
+    assert len(graph.node_ids()) >= 512
+    delays = node_delays(graph, OperatorModel())
+    ids, operands, users = graph_adjacency(graph)
+    order = reference_topological_order(ids, operands, users)
+    expected, expected_index = reference_critical_path_matrix(
+        order, operands, delays)
+    matrix, index_of = critical_path_matrix(graph, delays)
+    assert index_of == expected_index
+    assert np.array_equal(matrix, expected)
 
 class TestStaParity:
     """Arrival-time STA vs the reference loop on lowered Table-I designs."""

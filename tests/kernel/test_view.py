@@ -7,7 +7,7 @@ from repro.ir.builder import GraphBuilder
 from repro.ir.node import Node
 from repro.ir.ops import OpKind
 from repro.kernel import GraphView
-from repro.kernel.reference import (
+from tests.kernel.reference import (
     graph_adjacency,
     netlist_adjacency,
     reference_longest_path_lengths,

@@ -20,7 +20,7 @@ from repro.aig.aig import Aig, literal_node
 from repro.designs.generator import GeneratorParams, build_generated_design
 from repro.ir.ops import OpKind
 from repro.kernel import GraphView
-from repro.kernel.reference import (
+from tests.kernel.reference import (
     graph_adjacency,
     netlist_adjacency,
     reference_longest_path_lengths,
